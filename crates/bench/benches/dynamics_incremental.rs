@@ -4,12 +4,12 @@
 //! Both engines replay the same site-flap scenario over the busiest
 //! root letter; the incremental one re-derives assignments only for
 //! users whose winning origin group changed or became challengeable.
-//! Besides the criterion groups, a summary (mean ms per event and the
-//! recompute-vs-reuse ledger) is recorded in
+//! Besides the criterion groups, a summary (min-of-N ms per event and
+//! the recompute-vs-reuse ledger) is recorded in
 //! `results/dynamics_bench.json`, alongside the `timings.json` the
 //! repro driver writes.
 
-use anycast_bench::bench_world;
+use anycast_bench::{bench_world, min_secs};
 use anycast_core::World;
 use criterion::{criterion_group, criterion_main, Criterion};
 use dynamics::{DynUser, DynamicsEngine, RecomputeMode, Scenario};
@@ -91,25 +91,12 @@ fn bench(c: &mut Criterion) {
     });
     group.finish();
 
-    // Recorded summary: a plain timed comparison plus the ledger the
+    // Recorded summary: a min-of-N timed comparison plus the ledger the
     // obs counters also carry, so the perf claim lives in the repo next
     // to timings.json rather than only in criterion's target dir.
     const RUNS: usize = 5;
-    let t = std::time::Instant::now();
-    let mut inc_timeline = None;
-    for _ in 0..RUNS {
-        inc_timeline = Some(incremental.run(&scenario));
-    }
-    let inc_secs = t.elapsed().as_secs_f64() / RUNS as f64;
-    let t = std::time::Instant::now();
-    let mut full_timeline = None;
-    for _ in 0..RUNS {
-        full_timeline = Some(full.run(&scenario));
-    }
-    let full_secs = t.elapsed().as_secs_f64() / RUNS as f64;
-
-    let inc_timeline = inc_timeline.expect("ran");
-    let full_timeline = full_timeline.expect("ran");
+    let (inc_secs, inc_timeline) = min_secs(RUNS, || incremental.run(&scenario));
+    let (full_secs, full_timeline) = min_secs(RUNS, || full.run(&scenario));
     let events = inc_timeline.records.len().saturating_sub(1);
     let (inc_rc, inc_ru) = inc_timeline.recompute_totals();
     let (full_rc, full_ru) = full_timeline.recompute_totals();

@@ -12,7 +12,7 @@
 //! `ratio_1m_vs_100k` in the `dynamics_scale` section of
 //! `results/dynamics_bench.json`.
 
-use anycast_bench::bench_world;
+use anycast_bench::{bench_world, min_secs};
 use anycast_core::World;
 use criterion::{criterion_group, criterion_main, Criterion};
 use dynamics::{expand_counts, DynUser, DynamicsEngine, RecomputeMode, Scenario};
@@ -116,16 +116,7 @@ fn bench(c: &mut Criterion) {
         // same cache state (the criterion loop above warmed whichever
         // engine ran last).
         eng.run(&scenario);
-        let mut timeline = None;
-        let mut samples = Vec::with_capacity(RUNS);
-        for _ in 0..RUNS {
-            let t = std::time::Instant::now();
-            timeline = Some(eng.run(&scenario));
-            samples.push(t.elapsed().as_secs_f64());
-        }
-        samples.sort_by(f64::total_cmp);
-        let secs = samples[0];
-        let timeline = timeline.expect("ran");
+        let (secs, timeline) = min_secs(RUNS, || eng.run(&scenario));
         let events = timeline.records.len().saturating_sub(1).max(1);
         let ms_per_epoch = secs * 1000.0 / events as f64;
         per_epoch.push(ms_per_epoch);

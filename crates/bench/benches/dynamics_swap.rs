@@ -9,7 +9,7 @@
 //! and recompute ledger land in the `"dynamics_swap"` section of
 //! `results/dynamics_bench.json`.
 
-use anycast_bench::{bench_world, record_bench_section};
+use anycast_bench::{bench_world, min_secs, record_bench_section};
 use anycast_core::World;
 use cdn::Cdn;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -80,21 +80,8 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     const RUNS: usize = 5;
-    let t = std::time::Instant::now();
-    let mut inc_timeline = None;
-    for _ in 0..RUNS {
-        inc_timeline = Some(incremental.run(&scenario));
-    }
-    let inc_secs = t.elapsed().as_secs_f64() / RUNS as f64;
-    let t = std::time::Instant::now();
-    let mut full_timeline = None;
-    for _ in 0..RUNS {
-        full_timeline = Some(full.run(&scenario));
-    }
-    let full_secs = t.elapsed().as_secs_f64() / RUNS as f64;
-
-    let inc_timeline = inc_timeline.expect("ran");
-    let full_timeline = full_timeline.expect("ran");
+    let (inc_secs, inc_timeline) = min_secs(RUNS, || incremental.run(&scenario));
+    let (full_secs, full_timeline) = min_secs(RUNS, || full.run(&scenario));
     let events = inc_timeline.records.len().saturating_sub(1);
     let (inc_rc, inc_ru) = inc_timeline.recompute_totals();
     let (full_rc, full_ru) = full_timeline.recompute_totals();

@@ -11,7 +11,7 @@
 //! `replay_throughput` section of `results/dynamics_bench.json`; the
 //! acceptance floor is asserted here.
 
-use anycast_bench::bench_world;
+use anycast_bench::{bench_world, min_secs};
 use anycast_context::par;
 use anycast_core::World;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -104,16 +104,9 @@ fn bench(c: &mut Criterion) {
     // Recorded summary: the minimum of repeated runs estimates the
     // intrinsic per-query cost; anything above it is scheduler noise.
     const RUNS: usize = 15;
-    let mut outcome = replay(&mut eng, &scenario, &cfg);
-    let mut samples = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
-        let t = std::time::Instant::now();
-        outcome = replay(&mut eng, &scenario, &cfg);
-        samples.push(t.elapsed().as_secs_f64());
-    }
+    replay(&mut eng, &scenario, &cfg);
+    let (secs, outcome) = min_secs(RUNS, || replay(&mut eng, &scenario, &cfg));
     par::set_threads(0);
-    samples.sort_by(f64::total_cmp);
-    let secs = samples[0];
     assert_eq!(
         outcome.served + outcome.degraded,
         outcome.generated,

@@ -36,6 +36,22 @@ pub fn bench_world_with_peering(peering: f64) -> World {
     })
 }
 
+/// Runs `f` `runs` times and returns the fastest run's wall-clock
+/// seconds with the last run's output. The minimum of repeated runs
+/// estimates intrinsic cost; anything above it is scheduler
+/// interference, which a mean would fold in. Panics if `runs` is 0.
+pub fn min_secs<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    assert!(runs > 0, "min_secs needs at least one run");
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..runs {
+        let t = std::time::Instant::now();
+        last = Some(f());
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    (best, last.expect("runs > 0"))
+}
+
 /// Records one bench's summary under a named top-level section of
 /// `results/dynamics_bench.json`, preserving the sections other
 /// benches wrote: `{"dynamics_incremental": {...}, "dynamics_swap":
@@ -134,6 +150,21 @@ fn parse_sections(s: &str) -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn min_secs_keeps_the_fastest_run_and_the_last_output() {
+        let mut calls = 0u32;
+        let (secs, last) = min_secs(4, || {
+            calls += 1;
+            // Only the first run sleeps, so the minimum must undercut it.
+            if calls == 1 {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+            }
+            calls
+        });
+        assert_eq!((calls, last), (4, 4));
+        assert!((0.0..0.03).contains(&secs), "min {secs} must skip the slow run");
+    }
 
     #[test]
     fn upsert_into_empty_creates_one_section() {

@@ -213,78 +213,15 @@ struct BatchOutcome {
 /// The planning half of one recompute: the new catchment, its origin
 /// groups snapshotted in original site ids, and the affected-cohort
 /// selection the group diff produced. Everything here is decided
-/// before any assignment state is written — the seam the phase split
-/// (`plan → rank → commit → render`) exposes so the pipelined stepper
-/// can overlap epoch N's record rendering with epoch N+1's planning.
+/// before any assignment state is written, so the re-rank
+/// ([`DynamicsEngine::rank_plan`]) can borrow the engine immutably
+/// while it fans the affected cohorts out on `par::ordered_map`.
 struct ReassignPlan<'g> {
     catchment: Option<Catchment<'g>>,
     dense_to_orig: Vec<SiteId>,
     new_groups: DetHashMap<(Asn, ExportScope), GroupSnap>,
     affected: Vec<u32>,
     slice_users: u64,
-}
-
-/// The deferred tail of one epoch record: every scalar the commit
-/// phase already fixed, plus the raw `(latency, weight)` points whose
-/// weighted-median sort — and the fields derived from it — are left to
-/// [`RecordSeed::render`]. The seed owns its data outright (no engine
-/// borrow), so rendering is a pure function that may run on a
-/// [`par::join`] worker while the engine mutates itself for the next
-/// epoch, byte-identical at any thread count.
-#[derive(Debug, Clone)]
-struct RecordSeed {
-    t_ms: f64,
-    label: String,
-    shifted: f64,
-    shifted_qpd: f64,
-    served_w: f64,
-    path_sum: f64,
-    latency_pts: Vec<(f64, f64)>,
-    recomputed: u64,
-    reused: u64,
-    total_weight: f64,
-    baseline_median_ms: Option<f64>,
-    headroom_frac: Option<f64>,
-    note: String,
-}
-
-impl RecordSeed {
-    /// Sorts the latency points (the weighted median) and derives the
-    /// remaining record fields.
-    fn render(mut self) -> EpochRecord {
-        let median_ms = weighted_median(&mut self.latency_pts);
-        let frac = |w: f64| if self.total_weight > 0.0 { w / self.total_weight } else { 0.0 };
-        let shifted_frac = frac(self.shifted);
-        let unserved_frac = (1.0 - frac(self.served_w)).max(0.0);
-        let convergence_ms = if self.shifted > 0.0 {
-            BASE_CONVERGENCE_MS + SHIFT_CONVERGENCE_MS * shifted_frac
-        } else {
-            0.0
-        };
-        EpochRecord {
-            t_ms: self.t_ms,
-            event: self.label,
-            shifted: self.shifted,
-            shifted_frac,
-            unserved_frac,
-            median_ms,
-            inflation_ms: match (median_ms, self.baseline_median_ms) {
-                (Some(m), Some(b)) => Some(m - b),
-                _ => None,
-            },
-            mean_path_km: if self.served_w > 0.0 {
-                Some(self.path_sum / self.served_w)
-            } else {
-                None
-            },
-            convergence_ms,
-            degraded_queries: self.shifted_qpd * convergence_ms / MS_PER_DAY,
-            recomputed: self.recomputed,
-            reused: self.reused,
-            headroom_frac: self.headroom_frac,
-            note: self.note,
-        }
-    }
 }
 
 /// Removes the intersection of two sorted, deduplicated sets and
@@ -479,10 +416,6 @@ pub struct EpochStepper {
     queue: EventQueue,
     timeline: Timeline,
     processed: u64,
-    /// The most recent epoch's final record, rendering deferred by
-    /// [`EpochStepper::step_pipelined`]. Flushed into the timeline by
-    /// the next step (either flavor) or by [`EpochStepper::finish`].
-    pending: Option<RecordSeed>,
 }
 
 impl EpochStepper {
@@ -496,7 +429,6 @@ impl EpochStepper {
             queue: EventQueue::from_events(scenario.events.iter().copied()),
             timeline,
             processed: 0,
-            pending: None,
         }
     }
 
@@ -510,61 +442,12 @@ impl EpochStepper {
 
     /// Applies the next epoch — every pending event at the next
     /// instant, as one batch — and appends its records to the
-    /// timeline. Returns `false` (doing nothing) once the queue is
-    /// exhausted.
+    /// timeline. Before the batch applies, overloaded-site time accrues
+    /// for the interval ending now (loads were constant since the last
+    /// epoch closed) and the clock advances. Returns `false` (doing
+    /// nothing) once the queue is exhausted.
     pub fn step(&mut self, eng: &mut DynamicsEngine<'_>) -> bool {
-        self.flush_pending();
-        let Some(batch) = self.pop_batch(eng) else { return false };
-        self.timeline.records.extend(eng.epoch(&batch, &mut self.queue));
-        obs::counter_add("dynamics.epochs", 1);
-        true
-    }
-
-    /// [`EpochStepper::step`] with the record pipeline engaged: epoch
-    /// N's final record renders (the weighted-median sort and derived
-    /// fields) on a [`par::join`] worker *while* the engine applies
-    /// epoch N+1 — batch apply, catchment recompute, group-diff
-    /// invalidation, re-rank, and commit all overlap the rendering.
-    /// The deferred record is a pure function of data the commit phase
-    /// already extracted, so the finished timeline is byte-identical
-    /// to the serial stepper at any thread count. The epoch's *final*
-    /// record stays pending until the next step (or
-    /// [`EpochStepper::finish`]) flushes it, so
-    /// [`EpochStepper::records`] may lag one record behind mid-run.
-    pub fn step_pipelined(&mut self, eng: &mut DynamicsEngine<'_>) -> bool {
-        let Some(batch) = self.pop_batch(eng) else {
-            self.flush_pending();
-            return false;
-        };
-        let pending = self.pending.take();
-        let queue = &mut self.queue;
-        let (prev, (mut done, last)) = par::join(
-            move || pending.map(RecordSeed::render),
-            || eng.epoch_core(&batch, queue),
-        );
-        if let Some(r) = prev {
-            self.timeline.records.push(r);
-        }
-        self.timeline.records.append(&mut done);
-        self.pending = Some(last);
-        obs::counter_add("dynamics.epochs", 1);
-        true
-    }
-
-    /// Renders and appends the deferred record, if any.
-    fn flush_pending(&mut self) {
-        if let Some(seed) = self.pending.take() {
-            self.timeline.records.push(seed.render());
-        }
-    }
-
-    /// Pops every event sharing the next instant into one batch,
-    /// accrues overloaded-site time for the interval ending now (loads
-    /// were constant since the last epoch closed), advances the clock,
-    /// and counts the events — the shared preamble of both stepping
-    /// flavors. `None` once the queue is exhausted.
-    fn pop_batch(&mut self, eng: &mut DynamicsEngine<'_>) -> Option<Vec<RoutingEvent>> {
-        let first = self.queue.pop()?;
+        let Some(first) = self.queue.pop() else { return false };
         // One epoch = every pending event at this exact instant.
         let mut batch = vec![first.event];
         while self
@@ -587,7 +470,9 @@ impl EpochStepper {
         eng.clock.advance_to(first.at);
         obs::counter_add("dynamics.events_processed", batch.len() as u64);
         self.processed += batch.len() as u64;
-        Some(batch)
+        self.timeline.records.extend(eng.epoch(&batch, &mut self.queue));
+        obs::counter_add("dynamics.epochs", 1);
+        true
     }
 
     /// Events applied so far (the scenario's plus engine-scheduled
@@ -605,8 +490,7 @@ impl EpochStepper {
     /// Closes the run's ledgers (staged-drain and `dynamics.load.*`
     /// counters, exactly as [`DynamicsEngine::run`] emits them) and
     /// returns the timeline.
-    pub fn finish(mut self, eng: &mut DynamicsEngine<'_>) -> Timeline {
-        self.flush_pending();
+    pub fn finish(self, eng: &mut DynamicsEngine<'_>) -> Timeline {
         // Close the drain ledger: whatever is still draining when the
         // script runs out stays staged, so
         // `started = staged + aborted + completed` always balances.
@@ -1201,22 +1085,6 @@ impl<'g> DynamicsEngine<'g> {
         timeline
     }
 
-    /// [`DynamicsEngine::run`] with epoch pipelining
-    /// ([`EpochStepper::step_pipelined`]): epoch N's record rendering
-    /// overlaps epoch N+1's batch apply, group-diff invalidation, and
-    /// re-rank on a [`par::join`] worker. Byte-identical to `run` at
-    /// any thread count; the `dynamics_pipeline` bench section prices
-    /// the overlap.
-    pub fn run_pipelined(&mut self, scenario: &Scenario) -> Timeline {
-        let span = obs::span!("dynamics.scenario", name = scenario.name.as_str());
-        let mut stepper = EpochStepper::new(self, scenario);
-        while stepper.step_pipelined(self) {}
-        let processed = stepper.events_processed();
-        let timeline = stepper.finish(self);
-        span.add_items(processed);
-        timeline
-    }
-
     /// Announced sites currently loaded past their capacity, and their
     /// total user weight above it.
     fn overload_snapshot(&self) -> (usize, f64) {
@@ -1244,21 +1112,6 @@ impl<'g> DynamicsEngine<'g> {
     /// more record — so an epoch yields one record plus zero or more
     /// `ctrl[…]` rounds.
     fn epoch(&mut self, batch: &[RoutingEvent], queue: &mut EventQueue) -> Vec<EpochRecord> {
-        let (mut records, last) = self.epoch_core(batch, queue);
-        records.push(last.render());
-        records
-    }
-
-    /// [`DynamicsEngine::epoch`] with the final record's rendering
-    /// deferred: returns every earlier record rendered (controller
-    /// epochs yield several) plus the last one as a [`RecordSeed`],
-    /// which the pipelined stepper renders while the *next* epoch is
-    /// applied.
-    fn epoch_core(
-        &mut self,
-        batch: &[RoutingEvent],
-        queue: &mut EventQueue,
-    ) -> (Vec<EpochRecord>, RecordSeed) {
         let BatchOutcome { labels, mut notes, escalated, followups } = self.apply_batch(batch);
         let label = labels.join(" + ");
         // Snapshot the assignment state only when an abort is
@@ -1273,7 +1126,7 @@ impl<'g> DynamicsEngine<'g> {
                 self.orphans.clone(),
             )
         });
-        let mut seed = self.reassign_seeded(&label, false);
+        let mut record = self.reassign(&label, false);
         let mut committed = true;
         if let Some((states, groups, index, orphans)) = snap {
             let violation = {
@@ -1302,7 +1155,7 @@ impl<'g> DynamicsEngine<'g> {
                     .map(|s| format!("drain-abort {s}"))
                     .collect::<Vec<_>>()
                     .join(" + ");
-                seed = self.reassign_seeded(&format!("{label} => {aborts}"), false);
+                record = self.reassign(&format!("{label} => {aborts}"), false);
                 notes.push(format!(
                     "drain aborted: {site} load {load:.3} exceeds cap {cap:.3}"
                 ));
@@ -1317,14 +1170,13 @@ impl<'g> DynamicsEngine<'g> {
                 queue.push(at, ev);
             }
         }
-        seed.headroom_frac = self.current_headroom();
-        seed.note = notes.join("; ");
-        let mut seeds = vec![seed];
+        record.headroom_frac = self.current_headroom();
+        record.note = notes.join("; ");
+        let mut records = vec![record];
         if self.controller.is_some() {
-            self.controller_rounds(&mut seeds);
+            self.controller_rounds(&mut records);
         }
-        let last = seeds.pop().expect("at least the batch record");
-        (seeds.into_iter().map(RecordSeed::render).collect(), last)
+        records
     }
 
     /// Runs the attached controller's observe → decide → apply rounds
@@ -1332,7 +1184,7 @@ impl<'g> DynamicsEngine<'g> {
     /// effective round. Decisions read only per-cohort aggregates
     /// (loads, entry sessions), so a round's cost is independent of
     /// the expanded population.
-    fn controller_rounds(&mut self, seeds: &mut Vec<RecordSeed>) {
+    fn controller_rounds(&mut self, records: &mut Vec<EpochRecord>) {
         let mut ctrl = self.controller.take().expect("caller checked");
         for _ in 0..ctrl.max_rounds().max(1) {
             let loads = self.site_loads();
@@ -1396,10 +1248,10 @@ impl<'g> DynamicsEngine<'g> {
                 (0, r) => format!("ctrl[{}] release {r}", ctrl.name()),
                 (s, r) => format!("ctrl[{}] shed {s} + release {r}", ctrl.name()),
             };
-            let mut r = self.reassign_seeded(&label, false);
+            let mut r = self.reassign(&label, false);
             r.headroom_frac = self.current_headroom();
             r.note = detail.join(" ");
-            seeds.push(r);
+            records.push(r);
         }
         self.controller = Some(ctrl);
     }
@@ -1992,20 +1844,12 @@ impl<'g> DynamicsEngine<'g> {
 
     /// Recomputes the catchment over the effective deployment, re-ranks
     /// the affected users (all of them under [`RecomputeMode::Full`] or
-    /// at init), and closes the epoch. Composed from the four phases —
+    /// at init), and closes the epoch. Composed from the three phases —
     /// [`DynamicsEngine::plan_reassign`] (catchment + group diff +
     /// invalidation selection), [`DynamicsEngine::rank_plan`] (the
-    /// parallel re-rank), [`DynamicsEngine::commit_plan`] (state
-    /// writes + counters), and [`RecordSeed::render`] — run back to
-    /// back.
+    /// parallel re-rank), and [`DynamicsEngine::commit_plan`] (state
+    /// writes, counters, and the record) — run back to back.
     fn reassign(&mut self, label: &str, is_init: bool) -> EpochRecord {
-        self.reassign_seeded(label, is_init).render()
-    }
-
-    /// [`DynamicsEngine::reassign`] up to (but not including) the
-    /// record rendering: the returned seed owns everything the record
-    /// needs, so the caller may render it later — or elsewhere.
-    fn reassign_seeded(&mut self, label: &str, is_init: bool) -> RecordSeed {
         let plan = self.plan_reassign(is_init);
         let results = self.rank_plan(&plan);
         self.commit_plan(plan, &results, label, is_init)
@@ -2245,20 +2089,19 @@ impl<'g> DynamicsEngine<'g> {
         }
     }
 
-    /// Phases 3 and 4 of a recompute: store each rank result in the
+    /// Phase 3 of a recompute: store each rank result in the
     /// per-cohort state table, mark changed cohorts stale for the lazy
     /// column sync, re-home each cohort in the group index, adopt the
     /// new group snapshot, collect the epoch aggregates (one
-    /// O(cohorts) pass), and emit the recompute counters. Returns the
-    /// record as a [`RecordSeed`]; the weighted-median sort and the
-    /// fields derived from it are deferred to [`RecordSeed::render`].
+    /// O(cohorts) pass), emit the recompute counters, and return the
+    /// epoch's record. The caller sets `headroom_frac` and `note`.
     fn commit_plan(
         &mut self,
         plan: ReassignPlan<'_>,
         results: &[Option<UserState>],
         label: &str,
         is_init: bool,
-    ) -> RecordSeed {
+    ) -> EpochRecord {
         let ReassignPlan { new_groups, affected, slice_users, .. } = plan;
         let population = self.cols.len();
         let mut shifted = 0.0;
@@ -2282,10 +2125,7 @@ impl<'g> DynamicsEngine<'g> {
 
         // Epoch aggregates in ascending cohort order — per-cohort,
         // since every member shares its cohort's assignment, so the
-        // cost stays O(cohorts) at any population. Only the raw
-        // points are collected here; the median sort lives in
-        // `RecordSeed::render` so the pipelined stepper can overlap it
-        // with the next epoch.
+        // cost stays O(cohorts) at any population.
         let mut latency_pts = Vec::new();
         let mut served_w = 0.0;
         let mut path_sum = 0.0;
@@ -2312,18 +2152,30 @@ impl<'g> DynamicsEngine<'g> {
             self.slice_users_total += slice_users;
             self.population_total += population as u64;
         }
-        RecordSeed {
+        let median_ms = weighted_median(&mut latency_pts);
+        let frac = |w: f64| if self.total_weight > 0.0 { w / self.total_weight } else { 0.0 };
+        let shifted_frac = frac(shifted);
+        let convergence_ms = if shifted > 0.0 {
+            BASE_CONVERGENCE_MS + SHIFT_CONVERGENCE_MS * shifted_frac
+        } else {
+            0.0
+        };
+        EpochRecord {
             t_ms: self.clock.now().as_ms(),
-            label: label.to_string(),
+            event: label.to_string(),
             shifted,
-            shifted_qpd,
-            served_w,
-            path_sum,
-            latency_pts,
+            shifted_frac,
+            unserved_frac: (1.0 - frac(served_w)).max(0.0),
+            median_ms,
+            inflation_ms: match (median_ms, self.baseline_median_ms) {
+                (Some(m), Some(b)) => Some(m - b),
+                _ => None,
+            },
+            mean_path_km: (served_w > 0.0).then(|| path_sum / served_w),
+            convergence_ms,
+            degraded_queries: shifted_qpd * convergence_ms / MS_PER_DAY,
             recomputed,
             reused,
-            total_weight: self.total_weight,
-            baseline_median_ms: self.baseline_median_ms,
             headroom_frac: None,
             note: String::new(),
         }
@@ -2420,69 +2272,6 @@ mod tests {
         assert!(inc_rc < full_rc, "incremental {inc_rc} must beat full {full_rc}");
         // The flap moved somebody, both ways.
         assert!(ti.max_shifted_frac() > 0.0);
-    }
-
-    /// `run_pipelined` must render a byte-identical timeline to `run`
-    /// at every thread count: the deferred record is a pure function of
-    /// committed data, so overlapping its rendering with the next epoch
-    /// can change only wall-clock, never bytes.
-    #[test]
-    fn pipelined_timeline_is_byte_identical_to_serial() {
-        let (net, dep, users) = world(4);
-        let probe = engine(&net, &dep, &users, RecomputeMode::Incremental);
-        let target = hottest_site(&probe);
-        let scenario = Scenario::site_flap(
-            "pipeflap",
-            target,
-            SimTime::from_secs(60.0),
-            600_000.0,
-            3,
-            30_000.0,
-            7,
-        )
-        .ticks(SimTime::from_secs(45.0), 120_000.0, 20);
-        let mut serial = engine(&net, &dep, &users, RecomputeMode::Incremental);
-        let reference: Vec<Vec<String>> = serial.run(&scenario).rows();
-        for t in [1usize, 8] {
-            par::set_threads(t);
-            let mut piped = engine(&net, &dep, &users, RecomputeMode::Incremental);
-            let got = piped.run_pipelined(&scenario).rows();
-            par::set_threads(0);
-            assert_eq!(got, reference, "threads={t}");
-        }
-    }
-
-    /// Same identity with controller rounds attached — the multi-record
-    /// epoch path, where `epoch_core` returns earlier records already
-    /// rendered and defers only the last.
-    #[test]
-    fn pipelined_matches_serial_with_controller_rounds() {
-        let (net, dep, users) = world(4);
-        let total: f64 = users.iter().map(|u| u.weight).sum();
-        let build = |ctl: bool| {
-            let mut e = engine(&net, &dep, &users, RecomputeMode::Incremental)
-                .with_capacities(SiteCapacities::uniform(dep.sites.len(), total * 0.45));
-            if ctl {
-                e = e.with_controller(Box::new(loadmgmt::HysteresisController::new(0.8)));
-            }
-            e
-        };
-        let target = hottest_site(&build(false));
-        let scenario = Scenario::site_flap(
-            "pipectl",
-            target,
-            SimTime::from_secs(30.0),
-            300_000.0,
-            2,
-            60_000.0,
-            5,
-        )
-        .ticks(SimTime::from_secs(20.0), 90_000.0, 12);
-        let reference = build(true).run(&scenario).rows();
-        par::set_threads(8);
-        let got = build(true).run_pipelined(&scenario).rows();
-        par::set_threads(0);
-        assert_eq!(got, reference);
     }
 
     /// A capacity dip moves no users (announcements are untouched) but

@@ -147,47 +147,6 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs two closures and returns both results, overlapping them on a
-/// scoped worker thread when more than one worker is configured — the
-/// two-branch fork-join under the epoch pipelining in `dynamics`
-/// (epoch N's record rendering overlapped with epoch N+1's
-/// invalidation planning).
-///
-/// Determinism contract: `join` only decides *when* `a` runs relative
-/// to `b`, never what either computes — so it is byte-identity safe
-/// exactly when `a` and `b` share no mutable state, which the borrow
-/// checker enforces (`a` must be `Send`; in the pipelining use, `a`
-/// closes over owned data only). At [`threads`]` <= 1` both run
-/// sequentially on the caller thread, `a` first — the reference
-/// schedule every other thread count must match.
-///
-/// A panic in either closure propagates to the caller.
-///
-/// # Examples
-///
-/// ```
-/// let (a, b) = anycast_par::join(|| 2 + 2, || "done");
-/// assert_eq!((a, b), (4, "done"));
-/// ```
-pub fn join<A, B, FA, FB>(a: FA, b: FB) -> (A, B)
-where
-    A: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B,
-{
-    if threads() <= 1 {
-        let ra = a();
-        let rb = b();
-        (ra, rb)
-    } else {
-        thread::scope(|scope| {
-            let ha = scope.spawn(a);
-            let rb = b();
-            (ha.join().unwrap(), rb)
-        })
-    }
-}
-
 /// [`ordered_map`] with an explicit thread count, ignoring the global
 /// setting. `threads = 1` is the sequential reference path.
 pub fn ordered_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
@@ -254,33 +213,6 @@ mod tests {
         for (k, (i, _)) in got.iter().enumerate() {
             assert_eq!(k, *i);
         }
-    }
-
-    #[test]
-    fn join_returns_both_results_at_any_thread_count() {
-        for t in [1, 2, 8] {
-            set_threads(t);
-            let items: Vec<u64> = (0..100).collect();
-            let (a, b) = join(
-                || items.iter().map(|x| x * 3).sum::<u64>(),
-                || items.iter().rev().map(|x| x + 1).collect::<Vec<_>>(),
-            );
-            assert_eq!(a, 14850, "threads={t}");
-            assert_eq!(b.len(), 100);
-            assert_eq!(b[0], 100);
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn join_overlapped_branch_may_mutate_disjoint_state() {
-        set_threads(4);
-        let mut side = Vec::new();
-        let owned = vec![1u64, 2, 3];
-        let (sum, ()) = join(move || owned.iter().sum::<u64>(), || side.push(9));
-        assert_eq!(sum, 6);
-        assert_eq!(side, vec![9]);
-        set_threads(0);
     }
 
     #[test]

@@ -88,3 +88,34 @@ fn required_handbook_pages_exist_and_are_scanned() {
         );
     }
 }
+
+/// docs/BENCHMARKS.md §3 documents one row per recorded bench section,
+/// so its table must name exactly the sections `results/dynamics_bench.json`
+/// holds: a documented section that never landed (or a recorded one the
+/// page forgot) fails here instead of going missing silently.
+#[test]
+fn documented_bench_sections_match_recorded_ones() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(root.join("docs/BENCHMARKS.md")).expect("read BENCHMARKS.md");
+    let table = doc
+        .split("\n## ")
+        .find(|s| s.starts_with("3. "))
+        .expect("BENCHMARKS.md has a §3");
+    let mut documented: Vec<&str> = table
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|l| l.split('`').next())
+        .collect();
+    documented.sort_unstable();
+    // `record_bench_section` writes one `  "<section>": {...}` line per
+    // section, sorted by name.
+    let json = std::fs::read_to_string(root.join("results/dynamics_bench.json"))
+        .expect("read dynamics_bench.json");
+    let recorded: Vec<&str> = json
+        .lines()
+        .filter_map(|l| l.strip_prefix("  \""))
+        .filter_map(|l| l.split('"').next())
+        .collect();
+    assert!(!recorded.is_empty(), "no sections parsed from dynamics_bench.json");
+    assert_eq!(documented, recorded, "BENCHMARKS.md §3 vs results/dynamics_bench.json");
+}
