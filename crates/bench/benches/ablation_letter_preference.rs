@@ -3,12 +3,12 @@
 //! "inflation for the root DNS as a whole is not as bad as individual
 //! root letters".
 
+use anycast_bench::min_secs;
 use anycast_context::analysis::{preprocess, root_inflation, FilterOptions};
 use anycast_context::workload::{DitlConfig, DitlDataset};
 use anycast_context::{World, WorldConfig};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let world = World::build(&WorldConfig {
         scale: 0.2,
         atlas_probes: 100,
@@ -16,9 +16,7 @@ fn bench(c: &mut Criterion) {
         client_samples: 5,
         ..WorldConfig::paper(2021)
     });
-    println!("exploration  all-roots-geo-median  all-roots-geo-p90");
-    let mut group = c.benchmark_group("ablation_letter_preference");
-    group.sample_size(10);
+    println!("exploration  all-roots-geo-median  all-roots-geo-p90  min-ms");
     for exploration in [0.0, 0.3, 0.6, 1.0] {
         let ditl = DitlDataset::generate(
             &world.internet,
@@ -29,29 +27,13 @@ fn bench(c: &mut Criterion) {
         );
         let clean = preprocess(&ditl, &FilterOptions::default());
         let users = world.users_by_prefix();
-        let result = root_inflation(&clean, &world.letters, &world.geolocator, &users);
+        let (secs, result) =
+            min_secs(10, || root_inflation(&clean, &world.letters, &world.geolocator, &users));
         println!(
-            "{exploration:<13.1}{:>20.2}{:>19.2}",
+            "{exploration:<13.1}{:>20.2}{:>19.2}{:>8.2}",
             result.geo_all_roots.median(),
             result.geo_all_roots.quantile(0.9),
-        );
-        group.bench_with_input(
-            BenchmarkId::from_parameter(exploration),
-            &exploration,
-            |b, _| {
-                b.iter(|| {
-                    criterion::black_box(root_inflation(
-                        &clean,
-                        &world.letters,
-                        &world.geolocator,
-                        &users,
-                    ))
-                })
-            },
+            secs * 1e3,
         );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

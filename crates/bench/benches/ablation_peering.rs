@@ -3,38 +3,23 @@
 //! "strategic business investments … toward peering" are what keep CDN
 //! inflation low.
 
-use anycast_bench::bench_world_with_peering;
+use anycast_bench::{bench_world_with_peering, min_secs};
 use anycast_context::analysis::cdn_inflation;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn bench(c: &mut Criterion) {
-    println!("peering  zero-geo-users  geo-p90-ms  lat-median-ms");
-    let mut group = c.benchmark_group("ablation_peering");
-    group.sample_size(10);
+fn main() {
+    println!("peering  zero-geo-users  geo-p90-ms  lat-median-ms  min-ms");
     for peering in [0.05, 0.2, 0.4, 0.62, 0.8] {
         let world = bench_world_with_peering(peering);
         let users = world.users_by_location();
         let ring = world.cdn.largest_ring();
-        let result = cdn_inflation(&world.server_logs, ring, &world.internet, &users);
+        let (secs, result) =
+            min_secs(10, || cdn_inflation(&world.server_logs, ring, &world.internet, &users));
         println!(
-            "{peering:<9.2}{:>14.1}%{:>11.1}{:>14.1}",
+            "{peering:<9.2}{:>14.1}%{:>11.1}{:>14.1}{:>8.2}",
             result.geo.intercept(1.0) * 100.0,
             result.geo.quantile(0.9),
             result.latency.median(),
+            secs * 1e3,
         );
-        group.bench_with_input(BenchmarkId::from_parameter(peering), &peering, |b, _| {
-            b.iter(|| {
-                criterion::black_box(cdn_inflation(
-                    &world.server_logs,
-                    ring,
-                    &world.internet,
-                    &users,
-                ))
-            })
-        });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

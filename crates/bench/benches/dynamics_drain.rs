@@ -7,99 +7,38 @@
 //! variant (stages = 1) downs the site in one epoch. The gap is the
 //! price of the gradual-drain machinery per maintenance window.
 
-use anycast_bench::bench_world;
-use anycast_core::World;
 use analysis::SiteCapacities;
-use criterion::{criterion_group, criterion_main, Criterion};
-use dynamics::{DynUser, DynamicsEngine, RecomputeMode, Scenario};
+use anycast_bench::{bench_world, letter_engine, min_secs};
+use anycast_core::experiments::dynamics_exp::hottest_site;
+use dynamics::{RecomputeMode, Scenario};
 use netsim::SimTime;
-use std::sync::Arc;
 use topology::SiteId;
-
-fn dyn_users(world: &World) -> Vec<DynUser> {
-    let total_users = world.population.total_users();
-    let total_qpd = world.ditl.total_queries_per_day();
-    world
-        .population
-        .locations
-        .iter()
-        .map(|l| DynUser {
-            asn: l.asn,
-            location: world.internet.world.region(l.region).center,
-            weight: l.users,
-            queries_per_day: if total_users > 0.0 {
-                total_qpd * l.users / total_users
-            } else {
-                0.0
-            },
-        })
-        .collect()
-}
-
-fn engine(world: &World) -> DynamicsEngine<'_> {
-    let letter = world
-        .letters
-        .letters
-        .iter()
-        .max_by_key(|l| l.deployment.global_site_count())
-        .expect("letters exist");
-    DynamicsEngine::new(
-        &world.internet.graph,
-        Arc::clone(&letter.deployment),
-        world.model.clone(),
-        dyn_users(world),
-        RecomputeMode::Incremental,
-    )
-}
-
-fn hottest_site(eng: &DynamicsEngine<'_>) -> SiteId {
-    let loads = eng.site_loads();
-    let mut best = 0usize;
-    for (i, l) in loads.iter().enumerate() {
-        if *l > loads[best] {
-            best = i;
-        }
-    }
-    SiteId(best as u32)
-}
 
 fn drain_scenario(name: &str, target: SiteId, stages: u32) -> Scenario {
     Scenario::gradual_drain(name, target, SimTime::from_secs(30.0), 60_000.0, stages, 300_000.0)
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let world = bench_world();
-    let n_sites = {
-        let probe = engine(&world);
-        probe.deployment().sites.len()
-    };
-    let capacities = |world: &World| {
-        let probe = engine(world);
-        let total: f64 = probe.site_loads().iter().sum();
-        SiteCapacities::uniform(n_sites, total.max(1.0))
-    };
-    let mut staged = engine(&world).with_capacities(capacities(&world));
-    let mut binary = engine(&world).with_capacities(capacities(&world));
-    let target = hottest_site(&staged);
-    // Generous capacity: every drain completes and ends back at
-    // baseline, so the engines can be reused across iterations.
+    // Capacity for the whole population at every site: every drain
+    // completes and ends back at baseline, so the engines can be reused
+    // across runs.
+    let probe = letter_engine(&world, RecomputeMode::Incremental);
+    let total: f64 = probe.site_loads().iter().sum();
+    let capacities = SiteCapacities::uniform(probe.deployment().sites.len(), total.max(1.0));
+    let target = hottest_site(&probe);
+    let mut staged =
+        letter_engine(&world, RecomputeMode::Incremental).with_capacities(capacities.clone());
+    let mut binary = letter_engine(&world, RecomputeMode::Incremental).with_capacities(capacities);
     let staged_scenario = drain_scenario("bench-drain-staged", target, 3);
     let binary_scenario = drain_scenario("bench-drain-binary", target, 1);
 
-    let mut group = c.benchmark_group("dynamics_drain");
-    group.sample_size(10);
-    group.bench_function("staged_3", |b| {
-        b.iter(|| criterion::black_box(staged.run(&staged_scenario)).records.len())
-    });
-    group.bench_function("binary", |b| {
-        b.iter(|| criterion::black_box(binary.run(&binary_scenario)).records.len())
-    });
-    group.finish();
+    let (staged_secs, t_staged) = min_secs(10, || staged.run(&staged_scenario));
+    let (binary_secs, t_binary) = min_secs(10, || binary.run(&binary_scenario));
+    println!("dynamics_drain/staged_3: min {:.3} ms", staged_secs * 1e3);
+    println!("dynamics_drain/binary: min {:.3} ms", binary_secs * 1e3);
 
-    // Sanity outside the timing loop: the staged run escalates through
-    // more epochs than the binary one and both restore the baseline.
-    let t_staged = staged.run(&staged_scenario);
-    let t_binary = binary.run(&binary_scenario);
+    // The staged run escalates through more epochs than the binary one.
     assert!(
         t_staged.records.len() > t_binary.records.len(),
         "staged drain must emit more epochs ({} vs {})",
@@ -111,6 +50,3 @@ fn bench(c: &mut Criterion) {
         "generous capacity must never abort"
     );
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

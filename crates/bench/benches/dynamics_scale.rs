@@ -8,82 +8,24 @@
 //! epoch invalidation visits only the flapped group's member slices
 //! and the epoch loop writes per-cohort state, not per-user rows, so
 //! the 1M-user epoch must land within ~2× of the 100k-user one (in
-//! practice they are equal) — the acceptance criterion recorded as
+//! practice they are equal) — the acceptance bound recorded as
 //! `ratio_1m_vs_100k` in the `dynamics_scale` section of
 //! `results/dynamics_bench.json`.
 
-use anycast_bench::{bench_world, min_secs};
-use anycast_core::World;
-use criterion::{criterion_group, criterion_main, Criterion};
-use dynamics::{expand_counts, DynUser, DynamicsEngine, RecomputeMode, Scenario};
+use anycast_bench::{bench_world, expanded_engine, host_fields, min_secs, record_bench_section};
+use anycast_core::experiments::dynamics_exp::hottest_site;
+use dynamics::{DynamicsEngine, Scenario};
 use netsim::SimTime;
-use std::sync::Arc;
-use topology::SiteId;
 
 const POPULATIONS: [usize; 3] = [10_000, 100_000, 1_000_000];
 
-fn dyn_users(world: &World) -> Vec<DynUser> {
-    let total_users = world.population.total_users();
-    let total_qpd = world.ditl.total_queries_per_day();
-    world
-        .population
-        .locations
-        .iter()
-        .map(|l| DynUser {
-            asn: l.asn,
-            location: world.internet.world.region(l.region).center,
-            weight: l.users,
-            queries_per_day: if total_users > 0.0 {
-                total_qpd * l.users / total_users
-            } else {
-                0.0
-            },
-        })
-        .collect()
-}
-
-fn expanded_engine(world: &World, population: usize) -> DynamicsEngine<'_> {
-    let letter = world
-        .letters
-        .letters
-        .iter()
-        .max_by_key(|l| l.deployment.global_site_count())
-        .expect("letters exist");
-    let base = dyn_users(world);
-    let counts = expand_counts(
-        &base.iter().map(|u| u.weight).collect::<Vec<_>>(),
-        population,
-        2021,
-    );
-    DynamicsEngine::new_expanded(
-        &world.internet.graph,
-        Arc::clone(&letter.deployment),
-        world.model.clone(),
-        &base,
-        &counts,
-        2021,
-        RecomputeMode::Incremental,
-    )
-}
-
-fn hottest_site(eng: &DynamicsEngine<'_>) -> SiteId {
-    let loads = eng.site_loads();
-    let mut best = 0usize;
-    for (i, l) in loads.iter().enumerate() {
-        if *l > loads[best] {
-            best = i;
-        }
-    }
-    SiteId(best as u32)
-}
-
-fn bench(c: &mut Criterion) {
+fn main() {
     let world = bench_world();
     let mut engines: Vec<DynamicsEngine<'_>> =
         POPULATIONS.iter().map(|&p| expanded_engine(&world, p)).collect();
     let target = hottest_site(&engines[0]);
     // Two flaps, no jitter: four events, ending back at baseline so the
-    // engines can be reused across iterations.
+    // engines can be reused across runs.
     let scenario = Scenario::site_flap(
         "bench-scale-flap",
         target,
@@ -94,37 +36,31 @@ fn bench(c: &mut Criterion) {
         2021,
     );
 
-    let mut group = c.benchmark_group("dynamics_scale_epoch");
-    group.sample_size(10);
-    for (eng, &pop) in engines.iter_mut().zip(&POPULATIONS) {
-        group.bench_function(format!("{pop}_users"), |b| {
-            b.iter(|| criterion::black_box(eng.run(&scenario)).records.len())
-        });
-    }
-    group.finish();
-
     // Recorded summary: minimum ms per epoch at each population (the
     // minimum of repeated runs estimates intrinsic cost — anything
     // above it is scheduler interference on shared hosts, which would
-    // otherwise swamp the 1M-vs-100k comparison), plus the
+    // otherwise swamp the 1M-vs-100k comparison), plus one run's
     // invalidation ledger proving the slice walk undercut a scan.
     const RUNS: usize = 15;
     let mut sections = Vec::new();
     let mut per_epoch = Vec::new();
     for (eng, &pop) in engines.iter_mut().zip(&POPULATIONS) {
         // One untimed warm-up run so each engine is measured with the
-        // same cache state (the criterion loop above warmed whichever
-        // engine ran last).
+        // same cache state (the previous engine's runs evicted this
+        // one's). The recorded ledger is this run's share of the
+        // engine's cumulative totals, so it does not depend on RUNS.
+        let (slice0, scan0) = eng.invalidation_ledger();
         eng.run(&scenario);
-        let (secs, timeline) = min_secs(RUNS, || eng.run(&scenario));
-        let events = timeline.records.len().saturating_sub(1).max(1);
-        let ms_per_epoch = secs * 1000.0 / events as f64;
-        per_epoch.push(ms_per_epoch);
-        let (slice, scan) = eng.invalidation_ledger();
+        let (slice1, scan1) = eng.invalidation_ledger();
+        let (slice, scan) = (slice1 - slice0, scan1 - scan0);
         assert!(
             slice < scan,
             "slice invalidation visited {slice} of {scan} scan-equivalent users at {pop}"
         );
+        let (secs, timeline) = min_secs(RUNS, || eng.run(&scenario));
+        let events = timeline.records.len().saturating_sub(1).max(1);
+        let ms_per_epoch = secs * 1000.0 / events as f64;
+        per_epoch.push(ms_per_epoch);
         sections.push(format!(
             "{{\"population\": {pop}, \"cohorts\": {}, \"events\": {events}, \
              \"ms_per_epoch\": {ms_per_epoch:.3}, \
@@ -134,12 +70,10 @@ fn bench(c: &mut Criterion) {
     }
     let ratio = if per_epoch[1] > 0.0 { per_epoch[2] / per_epoch[1] } else { 0.0 };
     let json = format!(
-        "{{\"scenario\": \"site-flap x2\", \"runs\": [{}], \"ratio_1m_vs_100k\": {ratio:.3}}}",
+        "{{\"scenario\": \"site-flap x2\", {}, \"runs\": [{}], \"ratio_1m_vs_100k\": {ratio:.3}}}",
+        host_fields(),
         sections.join(", "),
     );
-    anycast_bench::record_bench_section("dynamics_scale", &json);
+    record_bench_section("dynamics_scale", &json);
     println!("dynamics columnar scale sweep: {json}");
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

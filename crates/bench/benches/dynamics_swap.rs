@@ -9,33 +9,13 @@
 //! and recompute ledger land in the `"dynamics_swap"` section of
 //! `results/dynamics_bench.json`.
 
-use anycast_bench::{bench_world, min_secs, record_bench_section};
+use anycast_bench::{bench_world, host_fields, min_secs, record_bench_section};
+use anycast_core::experiments::dynamics_exp::dyn_users;
 use anycast_core::World;
 use cdn::Cdn;
-use criterion::{criterion_group, criterion_main, Criterion};
-use dynamics::{DynUser, DynamicsEngine, RecomputeMode, Scenario, SwapDeployment};
+use dynamics::{DynamicsEngine, RecomputeMode, Scenario, SwapDeployment};
 use netsim::SimTime;
 use std::sync::Arc;
-
-fn dyn_users(world: &World) -> Vec<DynUser> {
-    let total_users = world.population.total_users();
-    let total_qpd = world.ditl.total_queries_per_day();
-    world
-        .population
-        .locations
-        .iter()
-        .map(|l| DynUser {
-            asn: l.asn,
-            location: world.internet.world.region(l.region).center,
-            weight: l.users,
-            queries_per_day: if total_users > 0.0 {
-                total_qpd * l.users / total_users
-            } else {
-                0.0
-            },
-        })
-        .collect()
-}
 
 fn swap_set(cdn: &Cdn) -> Vec<SwapDeployment> {
     cdn.rings
@@ -51,33 +31,28 @@ fn engine(world: &World, ring: usize, mode: RecomputeMode) -> DynamicsEngine<'_>
     DynamicsEngine::new(
         &world.internet.graph,
         Arc::clone(&world.cdn.rings[ring].deployment),
-        world.model.clone(),
+        world.model,
         dyn_users(world),
         mode,
     )
     .with_swap_set(swap_set(&world.cdn), ring)
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let world = bench_world();
     let from = world.cdn.ring_index("R74").expect("paper ring R74");
     let to = world.cdn.ring_index("R95").expect("paper ring R95");
     let mut incremental = engine(&world, from, RecomputeMode::Incremental);
     let mut full = engine(&world, from, RecomputeMode::Full);
     // Promote, hold, demote back: the cycle ends on the starting ring,
-    // so the engines can be reused across iterations.
-    let scenario =
-        Scenario::ring_swap("bench-ring-cycle", to as u32, from as u32, SimTime::from_secs(60.0), 1_800_000.0);
-
-    let mut group = c.benchmark_group("dynamics_swap");
-    group.sample_size(10);
-    group.bench_function("incremental", |b| {
-        b.iter(|| criterion::black_box(incremental.run(&scenario)).records.len())
-    });
-    group.bench_function("full", |b| {
-        b.iter(|| criterion::black_box(full.run(&scenario)).records.len())
-    });
-    group.finish();
+    // so the engines can be reused across runs.
+    let scenario = Scenario::ring_swap(
+        "bench-ring-cycle",
+        to as u32,
+        from as u32,
+        SimTime::from_secs(60.0),
+        1_800_000.0,
+    );
 
     const RUNS: usize = 5;
     let (inc_secs, inc_timeline) = min_secs(RUNS, || incremental.run(&scenario));
@@ -91,12 +66,13 @@ fn bench(c: &mut Criterion) {
          the remap + site-diff path must win"
     );
     let json = format!(
-        "{{\"scenario\": \"ring promote R74->R95, demote back\", \"events\": {events}, \
+        "{{\"scenario\": \"ring promote R74->R95, demote back\", {}, \"events\": {events}, \
          \"incremental\": {{\"secs_per_run\": {inc_secs:.4}, \"ms_per_event\": {:.3}, \
          \"assign_recomputed\": {inc_rc}, \"assign_reused\": {inc_ru}}}, \
          \"full\": {{\"secs_per_run\": {full_secs:.4}, \"ms_per_event\": {:.3}, \
          \"assign_recomputed\": {full_rc}, \"assign_reused\": {full_ru}}}, \
          \"speedup\": {:.2}}}",
+        host_fields(),
         inc_secs * 1000.0 / events.max(1) as f64,
         full_secs * 1000.0 / events.max(1) as f64,
         if inc_secs > 0.0 { full_secs / inc_secs } else { 0.0 },
@@ -104,6 +80,3 @@ fn bench(c: &mut Criterion) {
     record_bench_section("dynamics_swap", &json);
     println!("dynamics swap incremental vs full: {json}");
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -4,11 +4,11 @@
 //! (on a multi-core host), and the printed digests must not move at
 //! all, since thread count is forbidden from changing any result.
 
+use anycast_bench::min_secs;
 use anycast_context::topology::{Catchment, RouteCache};
 use anycast_context::{experiments, par, World, WorldConfig};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let world = World::build(&WorldConfig {
         scale: 0.2,
         atlas_probes: 100,
@@ -17,55 +17,31 @@ fn bench(c: &mut Criterion) {
         ..WorldConfig::paper(2021)
     });
 
-    let mut group = c.benchmark_group("catchment_prefill");
-    group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    par::set_threads(t);
-                    // Fresh cache each iteration: measure the prefill
-                    // fan-out, not the cache hit path.
-                    let mut cache = RouteCache::new();
-                    let mut sites = 0usize;
-                    for letter in &world.letters.letters {
-                        let catchment = Catchment::compute_shared(
-                            &world.internet.graph,
-                            std::sync::Arc::clone(&letter.deployment),
-                            &mut cache,
-                        );
-                        sites += criterion::black_box(
-                            catchment.deployment().total_site_count(),
-                        );
-                    }
-                    par::set_threads(0);
-                    sites
-                })
-            },
-        );
+        par::set_threads(threads);
+        let (secs, _) = min_secs(10, || {
+            // Fresh cache each run: measure the prefill fan-out, not
+            // the cache hit path.
+            let mut cache = RouteCache::new();
+            let mut sites = 0usize;
+            for letter in &world.letters.letters {
+                let catchment = Catchment::compute_shared(
+                    &world.internet.graph,
+                    std::sync::Arc::clone(&letter.deployment),
+                    &mut cache,
+                );
+                sites += catchment.deployment().total_site_count();
+            }
+            sites
+        });
+        println!("catchment_prefill/{threads}: min {:.3} ms", secs * 1e3);
     }
-    group.finish();
 
-    let mut group = c.benchmark_group("fig12_shards");
-    group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    par::set_threads(t);
-                    let artifacts =
-                        criterion::black_box(experiments::run("fig12", &world));
-                    par::set_threads(0);
-                    artifacts.len()
-                })
-            },
-        );
+        par::set_threads(threads);
+        let (secs, _) = min_secs(10, || experiments::run("fig12", &world));
+        println!("fig12_shards/{threads}: min {:.3} ms", secs * 1e3);
     }
-    group.finish();
 
     // Determinism spot check under the bench world: the miss-rate table
     // text must match between a single- and multi-threaded run.
@@ -79,6 +55,3 @@ fn bench(c: &mut Criterion) {
     assert_eq!(single, eight, "fig12 must not depend on thread count");
     println!("fig12 thread-count invariance: OK ({} artifacts)", single.len());
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

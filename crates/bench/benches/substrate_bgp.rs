@@ -2,46 +2,36 @@
 //! assignment over the synthetic Internet — the hot loops everything
 //! else stands on.
 
+use anycast_bench::{bench_world, min_secs};
 use anycast_context::topology::bgp::ExportScope;
 use anycast_context::topology::{Catchment, RouteCache, RouteComputer};
-use anycast_bench::bench_world;
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let world = bench_world();
     let graph = &world.internet.graph;
     let origin = world.cdn.asn;
 
-    c.bench_function("bgp_routes_from_origin", |b| {
-        b.iter(|| {
-            criterion::black_box(RouteComputer::new(graph).routes_from_origin(
-                origin,
-                ExportScope::Global,
-                &[],
-            ))
-        })
+    let (secs, _) = min_secs(10, || {
+        RouteComputer::new(graph).routes_from_origin(origin, ExportScope::Global, &[])
     });
+    println!("bgp_routes_from_origin: min {:.3} ms", secs * 1e3);
 
     let ring = world.cdn.largest_ring();
-    c.bench_function("catchment_compute", |b| {
-        b.iter(|| {
-            let mut cache = RouteCache::new();
-            criterion::black_box(Catchment::compute(graph, &ring.deployment, &mut cache))
-        })
+    let (secs, _) = min_secs(10, || {
+        let mut cache = RouteCache::new();
+        Catchment::compute(graph, &ring.deployment, &mut cache)
     });
+    println!("catchment_compute: min {:.3} ms", secs * 1e3);
 
     let mut cache = RouteCache::new();
     let catchment = Catchment::compute(graph, &ring.deployment, &mut cache);
     let locations = world.internet.user_locations();
-    c.bench_function("catchment_assign_all_locations", |b| {
-        b.iter(|| {
-            for loc in &locations {
-                let p = world.internet.world.region(loc.region).center;
-                criterion::black_box(catchment.assign(loc.asn, &p));
-            }
-        })
+    let (secs, ()) = min_secs(10, || {
+        for loc in &locations {
+            let p = world.internet.world.region(loc.region).center;
+            black_box(catchment.assign(loc.asn, &p));
+        }
     });
+    println!("catchment_assign_all_locations: min {:.3} ms", secs * 1e3);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

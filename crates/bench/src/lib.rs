@@ -2,14 +2,17 @@
 
 //! Shared setup for the benchmark harness.
 //!
-//! Every bench regenerates one of the paper's tables or figures over a
-//! pre-built world; building the world happens here, outside the timed
-//! region, at a scale chosen so a bench iteration is meaningful but
-//! quick.
+//! Every bench is a plain `fn main()` over a pre-built world; building
+//! the world and its engines happens here, outside the timed region,
+//! at a scale chosen so a bench run is meaningful but quick. Timing is
+//! [`min_secs`] and nothing else.
 
+use anycast_core::experiments::dynamics_exp::{busiest_letter, dyn_users};
 use anycast_core::{World, WorldConfig};
+use dynamics::{expand_counts, DynamicsEngine, RecomputeMode};
+use std::sync::Arc;
 
-/// Scale used by figure benches.
+/// Scale of the bench world.
 pub const BENCH_SCALE: f64 = 0.2;
 
 /// Builds the standard bench world (deterministic).
@@ -36,6 +39,47 @@ pub fn bench_world_with_peering(peering: f64) -> World {
     })
 }
 
+/// An engine over the busiest root letter with one user per weighted
+/// location, the construction the `dynflap`-style experiments use.
+pub fn letter_engine(world: &World, mode: RecomputeMode) -> DynamicsEngine<'_> {
+    DynamicsEngine::new(
+        &world.internet.graph,
+        Arc::clone(&busiest_letter(world).deployment),
+        world.model,
+        dyn_users(world),
+        mode,
+    )
+}
+
+/// An incremental engine over the busiest root letter with the world's
+/// weighted locations expanded to `population` users (seed 2021), the
+/// same construction the `dynscale`/`dynload` experiments use.
+pub fn expanded_engine(world: &World, population: usize) -> DynamicsEngine<'_> {
+    let base = dyn_users(world);
+    let counts = expand_counts(
+        &base.iter().map(|u| u.weight).collect::<Vec<_>>(),
+        population,
+        2021,
+    );
+    DynamicsEngine::new_expanded(
+        &world.internet.graph,
+        Arc::clone(&busiest_letter(world).deployment),
+        world.model,
+        &base,
+        &counts,
+        2021,
+        RecomputeMode::Incremental,
+    )
+}
+
+/// The host facts every recorded section carries, as JSON members:
+/// `"cores"` is `available_parallelism` and `"threads"` the `par`
+/// worker count in effect when called.
+pub fn host_fields() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("\"cores\": {cores}, \"threads\": {}", par::threads())
+}
+
 /// Runs `f` `runs` times and returns the fastest run's wall-clock
 /// seconds with the last run's output. The minimum of repeated runs
 /// estimates intrinsic cost; anything above it is scheduler
@@ -46,7 +90,7 @@ pub fn min_secs<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut last = None;
     for _ in 0..runs {
         let t = std::time::Instant::now();
-        last = Some(f());
+        last = Some(std::hint::black_box(f()));
         best = best.min(t.elapsed().as_secs_f64());
     }
     (best, last.expect("runs > 0"))

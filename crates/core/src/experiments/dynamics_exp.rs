@@ -29,7 +29,7 @@ use topology::{AnycastDeployment, Asn, SiteId};
 /// The user population as dynamics traffic sources. Query volume is the
 /// world's DITL total apportioned by user weight, so degraded-query
 /// accounting stays on the same scale as the capture campaigns.
-pub(super) fn dyn_users(world: &World) -> Vec<DynUser> {
+pub fn dyn_users(world: &World) -> Vec<DynUser> {
     let total_users = world.population.total_users();
     let total_qpd = world.ditl.total_queries_per_day();
     world
@@ -62,7 +62,7 @@ fn engine<'w>(world: &'w World, deployment: Arc<AnycastDeployment>) -> DynamicsE
 
 /// The root letter with the most global sites — the deployment where
 /// site-level churn has the richest catchment structure to disturb.
-pub(super) fn busiest_letter(world: &World) -> &dns::letters::RootLetter {
+pub fn busiest_letter(world: &World) -> &dns::letters::RootLetter {
     world
         .letters
         .letters
@@ -77,7 +77,7 @@ pub(super) fn busiest_letter(world: &World) -> &dns::letters::RootLetter {
 }
 
 /// The site carrying the most user weight (first one on ties).
-pub(super) fn hottest_site(eng: &DynamicsEngine<'_>) -> SiteId {
+pub fn hottest_site(eng: &DynamicsEngine<'_>) -> SiteId {
     let loads = eng.site_loads();
     let mut best = 0usize;
     for (i, l) in loads.iter().enumerate() {
@@ -470,7 +470,7 @@ fn controller_for(policy: &str) -> Option<Box<dyn LoadController>> {
 /// that dumps heavy sessions overdraws the budget and turns its own
 /// cure into receiver-side overload. That asymmetry is the
 /// competition.
-fn crowd_caps(
+pub fn crowd_caps(
     init: &[f64],
     stressed: &[f64],
     sessions: &[Vec<(Asn, f64)>],
@@ -514,7 +514,7 @@ fn crowd_caps(
 /// state — [`crowd_caps`]'s raw material for deciding which sites can
 /// shed at all (two or more sessions; the keep-one rule protects the
 /// last) and how big a careful shed can be.
-fn entry_sessions(eng: &DynamicsEngine<'_>) -> Vec<Vec<(Asn, f64)>> {
+pub fn entry_sessions(eng: &DynamicsEngine<'_>) -> Vec<Vec<(Asn, f64)>> {
     (0..eng.deployment().sites.len())
         .map(|i| {
             let mut v: Vec<(Asn, f64)> =
@@ -606,7 +606,7 @@ fn load_family_artifacts(
 /// load, then the lower id. Centering a surge on a raw-hottest site
 /// can be vacuous at scales where that site's whole catchment arrives
 /// through a single neighbor.
-fn most_shedable_sites(eng: &DynamicsEngine<'_>) -> Vec<SiteId> {
+pub fn most_shedable_sites(eng: &DynamicsEngine<'_>) -> Vec<SiteId> {
     let loads = eng.site_loads();
     let sessions: Vec<usize> = (0..loads.len())
         .map(|i| eng.site_via_loads(SiteId(i as u32)).len())

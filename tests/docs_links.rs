@@ -89,23 +89,44 @@ fn required_handbook_pages_exist_and_are_scanned() {
     }
 }
 
+/// The `## <number>. ` section of a markdown document.
+fn doc_section<'a>(doc: &'a str, number: &str) -> &'a str {
+    doc.split("\n## ")
+        .find(|s| s.strip_prefix(number).is_some_and(|r| r.starts_with(". ")))
+        .unwrap_or_else(|| panic!("no §{number}"))
+}
+
+/// The cells of the column headed `header` in the first markdown table
+/// of `section`, one per data row.
+fn table_column<'a>(section: &'a str, header: &str) -> Vec<&'a str> {
+    let cells =
+        |l: &'a str| -> Vec<&'a str> { l.trim().trim_matches('|').split('|').map(str::trim).collect() };
+    let mut rows = section
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'));
+    let head = cells(rows.next().expect("section has a table"));
+    let col = head
+        .iter()
+        .position(|h| h.eq_ignore_ascii_case(header))
+        .unwrap_or_else(|| panic!("table has no {header} column"));
+    rows.skip(1).map(|l| cells(l)[col]).collect()
+}
+
 /// docs/BENCHMARKS.md §3 documents one row per recorded bench section,
 /// so its table must name exactly the sections `results/dynamics_bench.json`
 /// holds: a documented section that never landed (or a recorded one the
-/// page forgot) fails here instead of going missing silently.
+/// page forgot) fails here instead of going missing silently. The bench
+/// columns of that table and of DESIGN.md §4 must name real bench
+/// targets (a `[[bench]]` in `crates/bench/Cargo.toml` with its file
+/// under `benches/`) or `—`, so a deleted bench cannot leave a stale row.
 #[test]
 fn documented_bench_sections_match_recorded_ones() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let doc = std::fs::read_to_string(root.join("docs/BENCHMARKS.md")).expect("read BENCHMARKS.md");
-    let table = doc
-        .split("\n## ")
-        .find(|s| s.starts_with("3. "))
-        .expect("BENCHMARKS.md has a §3");
-    let mut documented: Vec<&str> = table
-        .lines()
-        .filter_map(|l| l.strip_prefix("| `"))
-        .filter_map(|l| l.split('`').next())
-        .collect();
+    let table = doc_section(&doc, "3");
+    let mut documented: Vec<&str> =
+        table_column(table, "section").into_iter().map(|c| c.trim_matches('`')).collect();
     documented.sort_unstable();
     // `record_bench_section` writes one `  "<section>": {...}` line per
     // section, sorted by name.
@@ -118,4 +139,31 @@ fn documented_bench_sections_match_recorded_ones() {
         .collect();
     assert!(!recorded.is_empty(), "no sections parsed from dynamics_bench.json");
     assert_eq!(documented, recorded, "BENCHMARKS.md §3 vs results/dynamics_bench.json");
+
+    let bench_dir = root.join("crates/bench");
+    let manifest = std::fs::read_to_string(bench_dir.join("Cargo.toml")).expect("read bench Cargo.toml");
+    let targets: Vec<&str> = manifest
+        .split("[[bench]]")
+        .skip(1)
+        .filter_map(|b| b.lines().find_map(|l| l.strip_prefix("name = \"")))
+        .filter_map(|l| l.strip_suffix('"'))
+        .collect();
+    assert!(!targets.is_empty(), "no [[bench]] targets parsed");
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("read DESIGN.md");
+    let mut stale = Vec::new();
+    for (page, cells) in [
+        ("DESIGN.md §4", table_column(doc_section(&design, "4"), "bench")),
+        ("docs/BENCHMARKS.md §3", table_column(table, "bench")),
+    ] {
+        assert!(!cells.is_empty(), "{page}: no bench column rows");
+        for cell in cells {
+            let name = cell.trim_matches('`');
+            let real = targets.contains(&name)
+                && bench_dir.join("benches").join(format!("{name}.rs")).exists();
+            if cell != "—" && !(cell.starts_with('`') && cell.ends_with('`') && real) {
+                stale.push(format!("{page}: {cell}"));
+            }
+        }
+    }
+    assert!(stale.is_empty(), "bench cells that are not bench targets:\n  {}", stale.join("\n  "));
 }
