@@ -58,8 +58,9 @@ fn main() {
                 population = Some(
                     args.next()
                         .and_then(|v| v.parse().ok())
-                        .filter(|p| *p >= 1)
-                        .unwrap_or_else(|| die("--population needs a positive integer")),
+                        // User ids are u32, so the population must fit in one.
+                        .filter(|p| (1..=u32::MAX as usize).contains(p))
+                        .unwrap_or_else(|| die("--population needs an integer in 1..=4294967295")),
                 )
             }
             "--out" => {

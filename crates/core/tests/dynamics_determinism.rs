@@ -210,6 +210,20 @@ fn dynscale_is_thread_count_invariant_and_slices_beat_scans() {
     assert!(recomputed < full, "the flap must not recompute the whole population every epoch");
 }
 
+/// User ids are `u32`, so a `--population` past that space is a usage
+/// error (exit 2, one `error:` line) instead of a silent id wrap.
+#[test]
+fn population_past_the_u32_id_space_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--population", "4294967296", "dynscale"])
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(2), "repro must refuse the population");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("error: --population"), "stderr: {err}");
+    assert_eq!(err.lines().count(), 1, "stderr: {err}");
+}
+
 /// The closed-loop overload family obeys the same contract: all three
 /// `dynload*` ids at a 30k `--population` override are byte-identical
 /// across thread counts, and the `dynamics.load.*` ledger shows the

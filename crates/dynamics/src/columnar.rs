@@ -1,23 +1,19 @@
-//! Columnar (struct-of-arrays) per-user state for million-user
-//! populations.
+//! Cohort-columnar population state for million-user populations.
 //!
-//! The engine's per-user assignment state used to be an array of
-//! structs: one `UserState` per user, each carrying three `Option`s and
-//! a `GeoPoint`. At the paper's ~2k weighted sources that is fine; at
-//! the 1M+ clients real anycast systems see it is pointer-heavy, cache-
-//! hostile, and — worse — forces every epoch to *scan* the population
-//! to find affected users. This module replaces it with three pieces:
+//! BGP's decision process sees only a user's `(source AS, location)`,
+//! so every user expanded from one weighted location holds the same
+//! assignment forever. The engine therefore stores assignment state
+//! once per cohort, in its per-cohort state table — the only
+//! assignment store — and keeps exactly one per-user value. This
+//! module holds the three pieces:
 //!
-//! * [`UserColumns`] — parallel flat primitive arrays (site, candidate
-//!   key, via-neighbor, weight, queries/day), with sentinel values
-//!   ([`NO_SITE`], [`NO_ASN`], [`NO_KEY`]) instead of `Option`s, so a
-//!   column is one contiguous allocation of one primitive type;
-//! * [`Cohort`] — the expansion unit. [`expand_counts`] fans the ~2k
-//!   weighted locations out to per-user rows; all users expanded from
-//!   one location share `(source AS, location)` and therefore — because
-//!   BGP's decision process sees only `(source AS, location)` — share
-//!   one assignment forever. Each cohort owns a *contiguous* user-id
-//!   range, so per-cohort decisions become slice writes;
+//! * [`Cohort`] — the expansion unit. [`expand_counts`] apportions a
+//!   target population over the ~2k weighted locations; each location
+//!   becomes a cohort owning a *contiguous* user-id range, so
+//!   per-cohort decisions cover a slice of ids;
+//! * [`UserColumns`] — the one per-member column: query volume per
+//!   day, which carries a seeded per-member jitter and so is not
+//!   uniform inside a cohort;
 //! * [`GroupIndex`] — the inverted index `(host, scope) → cohort ids`,
 //!   maintained incrementally as cohorts change winning origin group,
 //!   so an epoch's invalidation set is a handful of slice iterations
@@ -33,80 +29,20 @@ use geo::GeoPoint;
 use par::DetHashMap;
 use topology::{Asn, ExportScope};
 
-/// Sentinel in the `site` column: the user is currently unserved.
-pub const NO_SITE: u32 = u32::MAX;
-/// Sentinel in the `via` column: no host-adjacent entry session (the
-/// user sits inside the host AS, or is unserved).
-pub const NO_ASN: u32 = u32::MAX;
-/// Sentinel in the `key_class` column: no stored candidate key.
-pub const NO_KEY: u8 = u8::MAX;
-
-/// Struct-of-arrays per-user state. All vectors share one length (the
-/// population); row `i` is user `i`. Assignment-derived columns hold
-/// sentinels for unserved users. Values that are *derived* from the
-/// assignment and therefore uniform across a cohort (entry point,
-/// latency, path length) live in the engine's per-cohort state table
-/// instead: storing them here would fan identical `f64`s across four
-/// more columns on every shift.
+/// The per-user column: row `i` is user `i`. Everything derived from
+/// the assignment (site, entry point, latency, candidate key) is
+/// uniform across a cohort and lives in the engine's per-cohort state
+/// table instead.
 #[derive(Debug, Clone, Default)]
 pub struct UserColumns {
-    /// Population weight per user.
-    pub weight: Vec<f64>,
     /// Query volume per user per day.
     pub queries_per_day: Vec<f64>,
-    /// Serving site (original deployment id), or [`NO_SITE`].
-    pub site: Vec<u32>,
-    /// Host-adjacent entry-session AS, or [`NO_ASN`].
-    pub via: Vec<u32>,
-    /// Stored candidate-key route class code
-    /// (`RouteClass::code`), or [`NO_KEY`] when no key is stored.
-    pub key_class: Vec<u8>,
-    /// Stored candidate-key AS-path length.
-    pub key_path_len: Vec<u32>,
-    /// Stored candidate-key early-exit distance, km.
-    pub key_exit_km: Vec<f64>,
-    /// Stored candidate-key host AS number.
-    pub key_host: Vec<u32>,
-    /// Stored candidate-key export scope code (`ExportScope::code`).
-    pub key_scope: Vec<u8>,
-}
-
-impl UserColumns {
-    /// Builds columns for a population with the given per-user weights
-    /// and query volumes; every assignment column starts at its
-    /// sentinel (nobody is served yet).
-    pub fn with_users(weight: Vec<f64>, queries_per_day: Vec<f64>) -> Self {
-        assert_eq!(weight.len(), queries_per_day.len());
-        let n = weight.len();
-        Self {
-            weight,
-            queries_per_day,
-            site: vec![NO_SITE; n],
-            via: vec![NO_ASN; n],
-            key_class: vec![NO_KEY; n],
-            key_path_len: vec![0; n],
-            key_exit_km: vec![0.0; n],
-            key_host: vec![0; n],
-            key_scope: vec![0; n],
-        }
-    }
-
-    /// Population size.
-    pub fn len(&self) -> usize {
-        self.weight.len()
-    }
-
-    /// Whether the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.weight.is_empty()
-    }
 }
 
 /// One expansion cohort: the contiguous user-id range `start..end`
 /// expanded from one weighted location. Assignment state is uniform
 /// across the range (one `(source AS, location)` pair, one BGP
-/// outcome), so the engine stores and re-ranks per cohort and fans the
-/// result across the slice.
+/// outcome), so the engine stores and re-ranks it once per cohort.
 #[derive(Debug, Clone, Copy)]
 pub struct Cohort {
     /// Source AS shared by every member.
@@ -119,8 +55,8 @@ pub struct Cohort {
     pub start: u32,
     /// One past the last member's user id.
     pub end: u32,
-    /// Sum of member weights (accumulated in member order, so the
-    /// value is deterministic).
+    /// Sum of the members' equal weight shares (accumulated in member
+    /// order, so the value is deterministic).
     pub weight: f64,
     /// Sum of member query volumes per day (member order).
     pub queries_per_day: f64,
@@ -321,15 +257,5 @@ mod tests {
         assert_eq!(idx.unkeyed, vec![1, 2]);
         assert_eq!(idx.groups[&g1], vec![0, 3]);
         assert_eq!(idx.cohort_count(), 4);
-    }
-
-    #[test]
-    fn user_columns_start_fully_unserved() {
-        let cols = UserColumns::with_users(vec![1.0, 2.0], vec![10.0, 20.0]);
-        assert_eq!(cols.len(), 2);
-        assert!(!cols.is_empty());
-        assert!(cols.site.iter().all(|&s| s == NO_SITE));
-        assert!(cols.via.iter().all(|&v| v == NO_ASN));
-        assert!(cols.key_class.iter().all(|&k| k == NO_KEY));
     }
 }

@@ -10,12 +10,12 @@
 //! current prefix announcements, peering withholds, and per-site
 //! drain withhold sets) — cheap thanks to [`RouteCache`] memoization —
 //! and decides, per expansion *cohort* (the contiguous user-id range
-//! fanned out from one weighted source — see [`crate::columnar`]),
+//! expanded from one weighted source — see [`crate::columnar`]),
 //! whether the epoch could possibly have changed its BGP choice.
 //! Candidate cohorts come from the inverted group index, not a
 //! population scan; only challenged cohorts are re-ranked, and the
-//! result fans across the cohort's column slices. Everybody else
-//! reuses their stored assignment verbatim.
+//! result is stored once, in the cohort's row of the per-cohort state
+//! table. Everybody else reuses their stored assignment verbatim.
 //!
 //! # Why the reuse rule is sound
 //!
@@ -66,7 +66,7 @@
 //! swap remap soundness proof, and worked examples, lives in
 //! `docs/DYNAMICS.md`.
 
-use crate::columnar::{Cohort, GroupIndex, UserColumns, NO_ASN, NO_KEY, NO_SITE};
+use crate::columnar::{Cohort, GroupIndex, UserColumns};
 use crate::event::{EventQueue, RoutingEvent};
 use crate::scenario::Scenario;
 use crate::timeline::{weighted_median, EpochRecord, Timeline};
@@ -116,9 +116,9 @@ pub struct DynUser {
 }
 
 /// A cohort's current assignment, in *original* deployment site ids —
-/// the rank-result type the re-rank step produces before fanning it
-/// across the cohort's column slices (every member of an expansion
-/// cohort shares one `(source AS, location)` pair and therefore one
+/// the rank-result type the re-rank step produces and the row type of
+/// the per-cohort state table (every member of an expansion cohort
+/// shares one `(source AS, location)` pair and therefore one
 /// assignment).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct UserState {
@@ -263,23 +263,14 @@ pub struct DynamicsEngine<'g> {
     model: LatencyModel,
     mode: RecomputeMode,
     /// Expansion cohorts in user-id order: cohort `c` owns the
-    /// contiguous user-id range `cohorts[c].range()` of the columns.
+    /// contiguous user-id range `cohorts[c].range()`.
     cohorts: Vec<Cohort>,
-    /// Struct-of-arrays per-user state (see [`UserColumns`]).
+    /// The per-user query volumes (see [`UserColumns`]).
     cols: UserColumns,
-    /// The authoritative per-cohort state: cohort `c`'s members all
-    /// hold exactly `states[c]` fanned out. Every hot path
-    /// (invalidation, apply, aggregates, load accumulation) reads and
-    /// compares this contiguous table; the per-user columns are a view
-    /// materialized from it on demand.
+    /// The only assignment store: every member of cohort `c` holds
+    /// exactly `states[c]`. Invalidation, apply, aggregates and load
+    /// accumulation all read and compare this contiguous table.
     states: Vec<UserState>,
-    /// Cohort ids whose column rows lag `states`: the epoch apply
-    /// pushes a mark here instead of fanning values across member
-    /// slices inline, and [`DynamicsEngine::columns`] drains the
-    /// marks. A million-user flap therefore marks a few dozen cohorts
-    /// and writes nothing per-user until a bulk consumer actually asks
-    /// for the columnar view. May hold duplicates between syncs.
-    stale: Vec<u32>,
     /// Inverted index `(host, scope) → cohort ids` over the *stored*
     /// winning keys, maintained incrementally so epoch invalidation is
     /// slice iteration, not a full-population scan.
@@ -328,7 +319,7 @@ pub struct DynamicsEngine<'g> {
     /// withheld (the release-projection estimate).
     ctrl_withheld: Vec<Vec<(Asn, f64)>>,
     /// Per-cohort demand multipliers not yet folded into the per-user
-    /// weight/query columns — the lazy columnar sync for
+    /// query column — the lazy columnar sync for
     /// [`RoutingEvent::DemandScale`], drained by
     /// [`DynamicsEngine::columns`] so a surge epoch costs O(cohorts),
     /// not O(population).
@@ -560,7 +551,8 @@ impl<'g> DynamicsEngine<'g> {
     ///
     /// # Panics
     ///
-    /// Panics when `counts` does not cover `base` or any count is zero.
+    /// Panics when `counts` does not cover `base`, any count is zero, or
+    /// the counts sum past the `u32` user-id space.
     pub fn new_expanded(
         graph: &'g AsGraph,
         deployment: Arc<AnycastDeployment>,
@@ -572,37 +564,39 @@ impl<'g> DynamicsEngine<'g> {
     ) -> Self {
         assert_eq!(base.len(), counts.len(), "one expansion count per source");
         let n_sites = deployment.sites.len();
-        let population: usize = counts.iter().map(|&c| c as usize).sum();
-        let mut weight = Vec::with_capacity(population);
-        let mut qpd = Vec::with_capacity(population);
+        let population: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+        assert!(
+            population <= u64::from(u32::MAX),
+            "population {population} overflows u32 user ids"
+        );
+        let mut qpd = Vec::with_capacity(population as usize);
         let mut cohorts = Vec::with_capacity(base.len());
         for (u, &k) in base.iter().zip(counts) {
             assert!(k >= 1, "every source expands to at least one user");
-            let start = weight.len() as u32;
+            let start = qpd.len() as u32;
             if k == 1 {
-                weight.push(u.weight);
                 qpd.push(u.queries_per_day);
             } else {
-                let share_w = u.weight / k as f64;
                 let share_q = u.queries_per_day / k as f64;
                 for _ in 0..k {
-                    let r = (par::seed_for(seed, weight.len() as u64) >> 11) as f64
+                    let r = (par::seed_for(seed, qpd.len() as u64) >> 11) as f64
                         / (1u64 << 53) as f64;
-                    weight.push(share_w);
                     qpd.push(share_q * (0.75 + 0.5 * r));
                 }
             }
             // Member-order sums, so the cohort totals are deterministic
-            // (and exactly the source values in the count-1 case).
-            let range = start as usize..weight.len();
+            // (and exactly the source values in the count-1 case). The
+            // weight sums `k` equal shares rather than taking
+            // `u.weight`, so it rounds as a sum of member weights.
+            let share_w = u.weight / k as f64;
             cohorts.push(Cohort {
                 asn: u.asn,
                 src_idx: graph.idx(u.asn) as u32,
                 location: u.location,
                 start,
-                end: weight.len() as u32,
-                weight: weight[range.clone()].iter().sum(),
-                queries_per_day: qpd[range].iter().sum(),
+                end: qpd.len() as u32,
+                weight: std::iter::repeat_n(share_w, k as usize).sum(),
+                queries_per_day: qpd[start as usize..].iter().sum(),
             });
         }
         let total_weight = cohorts.iter().map(|c| c.weight).sum();
@@ -613,9 +607,8 @@ impl<'g> DynamicsEngine<'g> {
             model,
             mode,
             cohorts,
-            cols: UserColumns::with_users(weight, qpd),
+            cols: UserColumns { queries_per_day: qpd },
             states: vec![UNSERVED; n_cohorts],
-            stale: Vec::new(),
             index: GroupIndex::all_unkeyed(n_cohorts),
             orphans: Vec::new(),
             slice_users_total: 0,
@@ -646,67 +639,17 @@ impl<'g> DynamicsEngine<'g> {
         eng
     }
 
-    /// Fans one cohort's state across its column slices, eliding every
-    /// column whose stored value already matches (members are uniform,
-    /// so the first row decides for the slice). Runs only when the
-    /// columnar view is materialized, never on the epoch path.
-    fn write_cohort(cols: &mut UserColumns, range: std::ops::Range<usize>, st: &UserState) {
-        let start = range.start;
-        macro_rules! fill {
-            ($col:ident, $val:expr) => {{
-                let v = $val;
-                if cols.$col[start] != v {
-                    cols.$col[range.clone()].fill(v);
-                }
-            }};
-        }
-        fill!(site, st.site.map_or(NO_SITE, |s| s.0));
-        fill!(via, st.via.map_or(NO_ASN, |a| a.0));
-        match st.key {
-            Some(k) => {
-                fill!(key_class, k.class.code());
-                fill!(key_path_len, k.path_len);
-                fill!(key_exit_km, k.exit_km);
-                fill!(key_host, k.host.0);
-                fill!(key_scope, k.scope.code());
-            }
-            None => {
-                fill!(key_class, NO_KEY);
-                fill!(key_path_len, 0);
-                fill!(key_exit_km, 0.0);
-                fill!(key_host, 0);
-                fill!(key_scope, 0);
-            }
-        }
-    }
-
-    /// The materialized columnar view of the population: every stale
-    /// cohort's state is fanned across its member slices (per field,
-    /// skipping columns that already match) before the columns are
-    /// returned. Bulk consumers pay for the fan-out exactly when they
-    /// ask for it; the epoch loop itself never writes a per-user row,
-    /// which is what keeps epoch cost independent of population.
+    /// The per-user columns, with every pending `DemandScale`
+    /// multiplier folded into the member rows of its cohort first. The
+    /// epoch loop itself never writes a per-user row, which is what
+    /// keeps epoch cost independent of population.
     pub fn columns(&mut self) -> &UserColumns {
-        let mut stale = std::mem::take(&mut self.stale);
-        stale.sort_unstable();
-        stale.dedup();
-        for ci in stale {
-            let cohort = self.cohorts[ci as usize];
-            Self::write_cohort(&mut self.cols, cohort.range(), &self.states[ci as usize]);
-        }
-        // Fold pending demand multipliers into the weight and query
-        // columns (the `DemandScale` half of the lazy sync).
-        for ci in 0..self.demand_mult.len() {
-            let m = self.demand_mult[ci];
-            if m != 1.0 {
-                let range = self.cohorts[ci].range();
-                for w in &mut self.cols.weight[range.clone()] {
-                    *w *= m;
+        for (ci, m) in self.demand_mult.iter_mut().enumerate() {
+            if *m != 1.0 {
+                for q in &mut self.cols.queries_per_day[self.cohorts[ci].range()] {
+                    *q *= *m;
                 }
-                for q in &mut self.cols.queries_per_day[range] {
-                    *q *= m;
-                }
-                self.demand_mult[ci] = 1.0;
+                *m = 1.0;
             }
         }
         &self.cols
@@ -853,7 +796,7 @@ impl<'g> DynamicsEngine<'g> {
     /// rollback oracle of the drain-abort tests: an aborted drain must
     /// leave this byte-identical to the pre-drain snapshot.
     pub fn user_snapshot(&self) -> Vec<(Option<SiteId>, f64, f64)> {
-        let mut out = Vec::with_capacity(self.cols.len());
+        let mut out = Vec::with_capacity(self.population());
         for (c, st) in self.cohorts.iter().zip(&self.states) {
             for _ in c.range() {
                 out.push((st.site, st.latency_ms, st.path_km));
@@ -882,7 +825,7 @@ impl<'g> DynamicsEngine<'g> {
 
     /// Expanded population size (number of per-user rows).
     pub fn population(&self) -> usize {
-        self.cols.len()
+        self.cols.queries_per_day.len()
     }
 
     /// Number of expansion cohorts (distinct weighted sources).
@@ -1115,9 +1058,7 @@ impl<'g> DynamicsEngine<'g> {
         let BatchOutcome { labels, mut notes, escalated, followups } = self.apply_batch(batch);
         let label = labels.join(" + ");
         // Snapshot the assignment state only when an abort is
-        // possible. The per-user columns are not part of it: they are
-        // a lazy view of `states`, and the stale marks accumulated by
-        // the aborted recompute simply re-sync on the next access.
+        // possible.
         let snap = (!escalated.is_empty() && self.capacities.is_some()).then(|| {
             (
                 self.states.clone(),
@@ -1379,10 +1320,10 @@ impl<'g> DynamicsEngine<'g> {
 
         // Demand changes first: they move no announcements (the
         // routing precedence below is untouched), only cohort weights
-        // and query volumes. The per-user columns sync lazily through
-        // `demand_mult`, so a million-user surge writes O(cohorts)
-        // here and O(members) only when the columnar view is next
-        // materialized.
+        // and query volumes. The per-user query column syncs lazily
+        // through `demand_mult`, so a million-user surge writes
+        // O(cohorts) here and O(members) only when `columns` is next
+        // called.
         for &(center, radius_km, factor) in &surges {
             let mut hit = 0u64;
             let mut delta = 0.0;
@@ -1644,8 +1585,7 @@ impl<'g> DynamicsEngine<'g> {
         // site in place; a cohort whose site left the deployment keeps
         // its stored key with the site cleared — the rule-0 orphan
         // marker — and joins the orphan set the next recompute
-        // re-ranks unconditionally. Both shapes go stale for the lazy
-        // column sync.
+        // re-ranks unconditionally.
         let mut rekeyed = 0u64;
         for (c, cohort) in self.cohorts.iter().enumerate() {
             let Some(s) = self.states[c].site else {
@@ -1654,12 +1594,10 @@ impl<'g> DynamicsEngine<'g> {
             match fwd[s.0 as usize] {
                 Some(ns) => {
                     self.states[c].site = Some(ns);
-                    self.stale.push(c as u32);
                     rekeyed += u64::from(cohort.len());
                 }
                 None => {
                     self.states[c].site = None;
-                    self.stale.push(c as u32);
                     // `reassign` cleared `orphans` last epoch and one
                     // swap applies per epoch, so a plain push keeps the
                     // set sorted and duplicate-free.
@@ -1861,7 +1799,7 @@ impl<'g> DynamicsEngine<'g> {
     /// rules 0–3). Mutates only the route cache; every assignment
     /// write waits for [`DynamicsEngine::commit_plan`].
     fn plan_reassign(&mut self, is_init: bool) -> ReassignPlan<'g> {
-        let population = self.cols.len();
+        let population = self.population();
         // New catchment over whatever is still announced.
         let (catchment, dense_to_orig) = match self.effective_deployment() {
             Some((dep, orig)) => {
@@ -1990,7 +1928,7 @@ impl<'g> DynamicsEngine<'g> {
                     continue;
                 }
                 for &c in members {
-                    // A swap-orphaned cohort keeps its key columns, so
+                    // A swap-orphaned cohort keeps its stored key, so
                     // it still sits in this slice; rule 0 already
                     // collected (and counted) it.
                     if self.orphans.binary_search(&c).is_ok() {
@@ -2090,9 +2028,8 @@ impl<'g> DynamicsEngine<'g> {
     }
 
     /// Phase 3 of a recompute: store each rank result in the
-    /// per-cohort state table, mark changed cohorts stale for the lazy
-    /// column sync, re-home each cohort in the group index, adopt the
-    /// new group snapshot, collect the epoch aggregates (one
+    /// per-cohort state table, re-home each cohort in the group index,
+    /// adopt the new group snapshot, collect the epoch aggregates (one
     /// O(cohorts) pass), emit the recompute counters, and return the
     /// epoch's record. The caller sets `headroom_frac` and `note`.
     fn commit_plan(
@@ -2103,7 +2040,7 @@ impl<'g> DynamicsEngine<'g> {
         is_init: bool,
     ) -> EpochRecord {
         let ReassignPlan { new_groups, affected, slice_users, .. } = plan;
-        let population = self.cols.len();
+        let population = self.population();
         let mut shifted = 0.0;
         let mut shifted_qpd = 0.0;
         for (&ci, &res) in affected.iter().zip(results) {
@@ -2113,9 +2050,6 @@ impl<'g> DynamicsEngine<'g> {
             if !is_init && new.site != old.site {
                 shifted += cohort.weight;
                 shifted_qpd += cohort.queries_per_day;
-            }
-            if new != old {
-                self.stale.push(ci);
             }
             self.index.move_cohort(ci, old.key.map(|k| k.group()), new.key.map(|k| k.group()));
             self.states[ci as usize] = new;
@@ -2227,6 +2161,29 @@ mod tests {
             LatencyModel::default(),
             users.to_vec(),
             mode,
+        )
+    }
+
+    /// A ten-fold expanded engine over the test world, so every cohort
+    /// spans several jittered query rows.
+    fn expanded<'g>(
+        net: &'g topology::gen::Internet,
+        dep: &Arc<AnycastDeployment>,
+        users: &[DynUser],
+    ) -> DynamicsEngine<'g> {
+        let counts = crate::columnar::expand_counts(
+            &users.iter().map(|u| u.weight).collect::<Vec<_>>(),
+            10 * users.len(),
+            42,
+        );
+        DynamicsEngine::new_expanded(
+            &net.graph,
+            Arc::clone(dep),
+            LatencyModel::default(),
+            users,
+            &counts,
+            42,
+            RecomputeMode::Incremental,
         )
     }
 
@@ -2660,21 +2617,8 @@ mod tests {
     fn expanded_population_preserves_metrics_and_invalidates_sublinearly() {
         let (net, dep, users) = world(4);
         let target_pop = 10 * users.len();
-        let counts = crate::columnar::expand_counts(
-            &users.iter().map(|u| u.weight).collect::<Vec<_>>(),
-            target_pop,
-            42,
-        );
         let mut small = engine(&net, &dep, &users, RecomputeMode::Incremental);
-        let mut big = DynamicsEngine::new_expanded(
-            &net.graph,
-            Arc::clone(&dep),
-            LatencyModel::default(),
-            &users,
-            &counts,
-            42,
-            RecomputeMode::Incremental,
-        );
+        let mut big = expanded(&net, &dep, &users);
         assert_eq!(big.population(), target_pop);
         assert_eq!(big.cohort_count(), users.len());
         // Equal per-source weights split evenly, so weighted medians
@@ -2703,48 +2647,21 @@ mod tests {
         assert!(slice > 0, "the flapped site's own slices are visited");
     }
 
+    /// Cohort ids are `u32`, so a population past that space is
+    /// refused before anything is allocated.
     #[test]
-    fn columns_materialize_exactly_the_cohort_states() {
+    #[should_panic(expected = "overflows u32 user ids")]
+    fn expansion_past_the_u32_id_space_panics() {
         let (net, dep, users) = world(4);
-        let counts = crate::columnar::expand_counts(
-            &users.iter().map(|u| u.weight).collect::<Vec<_>>(),
-            10 * users.len(),
-            42,
-        );
-        let mut e = DynamicsEngine::new_expanded(
+        DynamicsEngine::new_expanded(
             &net.graph,
-            Arc::clone(&dep),
+            dep,
             LatencyModel::default(),
-            &users,
-            &counts,
+            &users[..2],
+            &[u32::MAX, 1],
             42,
             RecomputeMode::Incremental,
         );
-        let target = hottest_site(&e);
-        let scenario =
-            Scenario::site_flap("flap", target, SimTime::from_secs(60.0), 600_000.0, 2, 0.0, 7);
-        e.run(&scenario);
-        assert!(!e.stale.is_empty(), "the flap must have marked cohorts stale");
-        let states = e.states.clone();
-        let cohorts = e.cohorts.clone();
-        let cols = e.columns();
-        for (c, st) in cohorts.iter().zip(&states) {
-            for i in c.range() {
-                assert_eq!(cols.site[i], st.site.map_or(NO_SITE, |s| s.0), "site row {i}");
-                assert_eq!(cols.via[i], st.via.map_or(NO_ASN, |a| a.0), "via row {i}");
-                match st.key {
-                    Some(k) => {
-                        assert_eq!(cols.key_class[i], k.class.code(), "class row {i}");
-                        assert_eq!(cols.key_path_len[i], k.path_len, "path_len row {i}");
-                        assert_eq!(cols.key_exit_km[i], k.exit_km, "exit_km row {i}");
-                        assert_eq!(cols.key_host[i], k.host.0, "host row {i}");
-                        assert_eq!(cols.key_scope[i], k.scope.code(), "scope row {i}");
-                    }
-                    None => assert_eq!(cols.key_class[i], NO_KEY, "class row {i}"),
-                }
-            }
-        }
-        assert!(e.stale.is_empty(), "the sync drains every mark");
     }
 
     #[test]
@@ -2780,17 +2697,22 @@ mod tests {
         )
     }
 
-    /// A demand surge scales cohort weights lazily: the epoch touches
-    /// only cohorts, ticks recompute nobody, and the reciprocal scale
-    /// restores both the scalar totals and the materialized columns.
+    /// A demand surge scales cohorts lazily: the epoch touches only
+    /// cohorts, ticks recompute nobody, and after the reciprocal scale
+    /// the totals and every query row are back where they started —
+    /// even when `columns` folded the surge into the rows mid-crowd.
     #[test]
     fn demand_scale_is_lazy_and_the_reciprocal_restores_it() {
         let (net, dep, users) = world(4);
-        let mut e = engine(&net, &dep, &users, RecomputeMode::Incremental);
+        let mut e = expanded(&net, &dep, &users);
         let w0 = e.total_weight;
-        let cols_w0: f64 = e.columns().weight.iter().sum();
+        let q0 = e.columns().queries_per_day.clone();
         let s = crowd(&e, 2.0);
-        let t = e.run(&s);
+        let mut stepper = EpochStepper::new(&e, &s);
+        while stepper.step(&mut e) {
+            e.columns();
+        }
+        let t = stepper.finish(&mut e);
         for r in &t.records {
             if r.event.starts_with("surge") {
                 assert_eq!(r.shifted, 0.0, "a demand scale moves nobody: {}", r.event);
@@ -2804,26 +2726,45 @@ mod tests {
         assert!(t.records.iter().any(|r| r.event.starts_with("surge x2.00")));
         assert!(t.records.iter().any(|r| r.event.starts_with("surge x0.50")));
         assert!((e.total_weight - w0).abs() < 1e-6 * w0, "reciprocal restores total weight");
-        assert!(e.demand_mult.iter().all(|m| (m - 1.0).abs() < 1e-9 || *m != 1.0));
-        let cols_w1: f64 = e.columns().weight.iter().sum();
-        assert!((cols_w1 - cols_w0).abs() < 1e-6 * cols_w0, "columns fold the multipliers back");
+        let q1 = &e.columns().queries_per_day;
+        assert_eq!(q1.len(), q0.len());
+        for (i, (a, b)) in q0.iter().zip(q1).enumerate() {
+            assert!((a - b).abs() <= 1e-12 * a.abs(), "row {i}: {a} became {b}");
+        }
     }
 
-    /// The surge itself must grow demand while it holds.
+    /// While the surge holds, exactly the hit cohorts' query rows are
+    /// doubled, bit for bit; every other row is untouched.
     #[test]
     fn demand_scale_grows_weight_while_the_crowd_holds() {
         let (net, dep, users) = world(4);
-        let mut e = engine(&net, &dep, &users, RecomputeMode::Incremental);
+        let mut e = expanded(&net, &dep, &users);
         let w0 = e.total_weight;
+        let q0 = e.columns().queries_per_day.clone();
         let hot = hottest_site(&e);
         let center = e.base.sites[hot.0 as usize].location;
+        let radius_km = 6_000.0;
         let s = Scenario::new("half").at(
             SimTime::from_secs(10.0),
-            RoutingEvent::DemandScale { center, radius_km: 6_000.0, factor: 2.0 },
+            RoutingEvent::DemandScale { center, radius_km, factor: 2.0 },
         );
         e.run(&s);
         assert!(e.total_weight > w0, "somebody inside the radius scaled up");
-        assert!(e.demand_mult.iter().any(|m| (*m - 2.0).abs() < 1e-12));
+        let cohorts = e.cohorts.clone();
+        let q1 = &e.columns().queries_per_day;
+        let mut hit = 0;
+        for c in &cohorts {
+            let scale = if c.location.distance_km(&center) <= radius_km {
+                hit += 1;
+                2.0
+            } else {
+                1.0
+            };
+            for i in c.range() {
+                assert_eq!(q1[i], scale * q0[i], "row {i}");
+            }
+        }
+        assert!(0 < hit && hit < cohorts.len(), "the surge must split the cohorts");
     }
 
     /// A `NullController` attached to a capacity-aware engine must

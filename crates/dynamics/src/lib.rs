@@ -52,7 +52,7 @@ pub mod event;
 pub mod scenario;
 pub mod timeline;
 
-pub use columnar::{expand_counts, Cohort, GroupIndex, UserColumns, NO_ASN, NO_KEY, NO_SITE};
+pub use columnar::{expand_counts, Cohort, GroupIndex, UserColumns};
 pub use engine::{
     DynUser, DynamicsEngine, EpochStepper, LoadLedger, RecomputeMode, ServingCohort,
     SwapDeployment,

@@ -120,8 +120,10 @@ fn serve_window(
     cfg: &ReplayConfig,
     window: u64,
 ) -> WindowStats {
-    // Snapshot the O(cohorts) serving state first: `columns` holds a
-    // mutable borrow of the engine for the rest of the window.
+    // Snapshot the O(cohorts) serving state first: the per-user query
+    // column is all `columns` returns, and it holds a mutable borrow
+    // of the engine (to fold pending demand multipliers) for the rest
+    // of the window.
     let cohorts = eng.serving_cohorts();
     let cols: &UserColumns = eng.columns();
     let per = cohorts.len().div_ceil(par::threads().max(1)).max(1);
