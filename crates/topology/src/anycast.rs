@@ -13,17 +13,38 @@
 //! while a densely-peered CDN stays flat (the 2-AS direct route wins and
 //! its early exit lands at a front-end).
 //!
+//! [`Catchment`] ranks candidates with a *tiered* walk that pays for
+//! geography only where a tie needs it. Each reachable origin group's
+//! `(class, path length)` is read straight off its precomputed route;
+//! the groups are bucketed into tiers by that pair, visited class
+//! descending then length ascending, and only the tier being visited
+//! has its early-exit distances computed and sorted by
+//! `(exit_km, host)`. `assign` stops inside the first tier whose
+//! candidate materializes, so it never scores a losing tier.
+//!
+//! The walk yields exactly the order a full sort of every scored group
+//! would: the decision comparator is lexicographic in
+//! `(class, len, exit_km, host)`, so no element of a later tier can
+//! precede one of an earlier tier, and within a tier it reduces to
+//! `(exit_km, host)`. A stable sort of the whole list keeps equal-key
+//! groups in group order; the tiers are filled in group order and each
+//! is sorted stably, so they keep it too. The comparator is a total
+//! preorder because `exit_km` is never NaN: [`GeoPoint::distance_km`]
+//! clamps its `asin` argument into `[0, 1]`.
+//!
 //! Per-origin route computations are memoized in a [`RouteCache`] because
 //! hoster ASes routinely host sites for several letters.
 
 use crate::asn::Asn;
-use crate::bgp::{ExportScope, OriginRoutes, RouteClass, RouteComputer};
+use crate::bgp::{ExportScope, NodeRoute, OriginRoutes, RouteClass, RouteComputer};
 use crate::graph::AsGraph;
 use crate::waypoints;
 use geo::GeoPoint;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::cmp::{Ordering, Reverse};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Identifier of a site within one deployment.
@@ -370,9 +391,13 @@ struct OriginGroup {
 
 /// The BGP decision key of one candidate origin group for one source:
 /// everything the decision process compares *before* any path is
-/// materialized. Computing keys is cheap (no waypoint resolution), so
-/// incremental layers use them to decide whether a routing change can
-/// possibly move a source before paying for a full reassignment.
+/// materialized. Computing keys is cheap: `class` and `path_len` are
+/// read off the group's precomputed route, and `exit_km` — the only
+/// geographic field — is scored only for groups in the
+/// `(class, path_len)` tier being visited (see the module doc for why
+/// that reproduces the full ranking). Incremental layers use keys to
+/// decide whether a routing change can possibly move a source before
+/// paying for a full reassignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateKey {
     /// Local-preference class of the group's route at the source.
@@ -414,6 +439,18 @@ struct Cand<'a> {
     len: u32,
     exit_km: f64,
     first: Option<crate::bgp::FirstHop>,
+}
+
+impl Cand<'_> {
+    fn key(&self) -> CandidateKey {
+        CandidateKey {
+            class: self.class,
+            path_len: self.len,
+            exit_km: self.exit_km,
+            host: self.group.host,
+            scope: self.group.scope,
+        }
+    }
 }
 
 /// Computed catchments of one deployment over one graph. `Send + Sync`:
@@ -516,17 +553,26 @@ impl<'g> Catchment<'g> {
     /// (path reconstruction and waypoint resolution are the expensive
     /// part; campaign generators only need the top one or two).
     pub fn ranked_top(&self, src: Asn, user_loc: &GeoPoint, k: usize) -> Vec<SiteAssignment> {
+        let mut out = Vec::new();
+        if k == 0 {
+            return out;
+        }
         let src_idx = self.graph.idx(src);
         let serving = self.graph.serving_pop(src, user_loc);
-        // filter_map *before* take: a candidate that fails to
-        // materialize (every hosted site drained for this path's entry
-        // session) falls through to the next-ranked group instead of
-        // truncating the result — matching `assign_with_key`.
-        self.candidates(src_idx, &serving)
-            .into_iter()
-            .filter_map(|c| self.materialize(src_idx, user_loc, &serving, c.group, c.first))
-            .take(k)
-            .collect()
+        // Only materialized candidates count toward `k`: one that fails
+        // (every hosted site drained for this path's entry session)
+        // falls through to the next-ranked group instead of truncating
+        // the result — matching `assign_with_key`.
+        self.walk(src_idx, &serving, |c| {
+            if let Some(a) = self.materialize(src_idx, user_loc, &serving, c.group, c.first) {
+                out.push(a);
+                if out.len() == k {
+                    return ControlFlow::Break(());
+                }
+            }
+            ControlFlow::Continue(())
+        });
+        out
     }
 
     /// The best assignment together with its [`CandidateKey`], in one
@@ -540,19 +586,12 @@ impl<'g> Catchment<'g> {
     ) -> Option<(SiteAssignment, CandidateKey)> {
         let src_idx = self.graph.idx(src);
         let serving = self.graph.serving_pop(src, user_loc);
-        for c in self.candidates(src_idx, &serving) {
-            let key = CandidateKey {
-                class: c.class,
-                path_len: c.len,
-                exit_km: c.exit_km,
-                host: c.group.host,
-                scope: c.group.scope,
-            };
-            if let Some(a) = self.materialize(src_idx, user_loc, &serving, c.group, c.first) {
-                return Some((a, key));
+        self.walk(src_idx, &serving, |c| {
+            match self.materialize(src_idx, user_loc, &serving, c.group, c.first) {
+                Some(a) => ControlFlow::Break((a, c.key())),
+                None => ControlFlow::Continue(()),
             }
-        }
-        None
+        })
     }
 
     /// Decision keys of every reachable candidate group for `src` at
@@ -561,16 +600,12 @@ impl<'g> Catchment<'g> {
     pub fn candidate_keys(&self, src: Asn, user_loc: &GeoPoint) -> Vec<CandidateKey> {
         let src_idx = self.graph.idx(src);
         let serving = self.graph.serving_pop(src, user_loc);
-        self.candidates(src_idx, &serving)
-            .into_iter()
-            .map(|c| CandidateKey {
-                class: c.class,
-                path_len: c.len,
-                exit_km: c.exit_km,
-                host: c.group.host,
-                scope: c.group.scope,
-            })
-            .collect()
+        let mut keys = Vec::new();
+        self.walk(src_idx, &serving, |c| {
+            keys.push(c.key());
+            ControlFlow::<()>::Continue(())
+        });
+        keys
     }
 
     /// The origin groups of this catchment, as `(host, scope)` keys in
@@ -600,43 +635,66 @@ impl<'g> Catchment<'g> {
             .map(|g| g.sites.as_slice())
     }
 
-    /// Collects and ranks every reachable candidate group for one
-    /// source: the shared core of [`Catchment::ranked_top`],
-    /// [`Catchment::assign_with_key`], and [`Catchment::candidate_keys`].
-    fn candidates(&self, src_idx: usize, serving: &GeoPoint) -> Vec<Cand<'_>> {
-        let mut cands: Vec<Cand<'_>> = Vec::new();
-        for group in &self.groups {
-            let Some(route) = group.routes.route_at(src_idx) else {
-                continue;
-            };
-            if route.class == RouteClass::Origin {
-                cands.push(Cand { group, class: route.class, len: route.path_len, exit_km: 0.0, first: None });
-                continue;
-            }
-            // Early-exit: among equally-best first hops, the source picks
-            // the one whose interconnect is nearest its serving PoP.
-            let best = route
-                .first_hops
-                .iter()
-                .map(|fh| {
-                    let x = self.graph.nearest_interconnect(fh.link, serving);
-                    (serving.distance_km(&x), *fh)
-                })
-                .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            if let Some((exit_km, fh)) = best {
-                cands.push(Cand { group, class: route.class, len: route.path_len, exit_km, first: Some(fh) });
+    /// Walks the reachable candidate groups for one source in BGP
+    /// decision order — class desc, then path length asc, then early-exit
+    /// distance asc, then host ASN, ties kept in group order — handing
+    /// each to `visit` until it breaks. The shared core of
+    /// [`Catchment::ranked_top`], [`Catchment::assign_with_key`], and
+    /// [`Catchment::candidate_keys`].
+    ///
+    /// Tiers of equal `(class, len)` are formed geography-blind and only
+    /// the tier being visited is scored, so a walk that breaks early
+    /// never computes an exit distance for a losing tier. The module doc
+    /// argues why this is the order of a full stable sort.
+    fn walk<B>(
+        &self,
+        src_idx: usize,
+        serving: &GeoPoint,
+        mut visit: impl FnMut(&Cand<'_>) -> ControlFlow<B>,
+    ) -> Option<B> {
+        let mut order: Vec<(RouteClass, u32, usize, &NodeRoute)> = self
+            .groups
+            .iter()
+            .enumerate()
+            .filter_map(|(i, g)| g.routes.route_at(src_idx).map(|r| (r.class, r.path_len, i, r)))
+            .collect();
+        // Group index as the last key: the unstable sort then yields
+        // each tier in group order, as a stable sort would.
+        order.sort_unstable_by_key(|&(class, len, i, _)| (Reverse(class), len, i));
+        let mut tier: Vec<Cand<'_>> = Vec::new();
+        for members in order.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            tier.clear();
+            tier.extend(members.iter().filter_map(|&(class, len, i, route)| {
+                let group = &self.groups[i];
+                if class == RouteClass::Origin {
+                    return Some(Cand { group, class, len, exit_km: 0.0, first: None });
+                }
+                // Early-exit: among equally-best first hops, the source
+                // picks the one whose interconnect is nearest its
+                // serving PoP.
+                route
+                    .first_hops
+                    .iter()
+                    .map(|fh| {
+                        let x = self.graph.nearest_interconnect(fh.link, serving);
+                        (serving.distance_km(&x), *fh)
+                    })
+                    .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal))
+                    .map(|(exit_km, fh)| Cand { group, class, len, exit_km, first: Some(fh) })
+            }));
+            tier.sort_by(|a, b| {
+                a.exit_km
+                    .partial_cmp(&b.exit_km)
+                    .unwrap_or(Ordering::Equal)
+                    .then(a.group.host.cmp(&b.group.host))
+            });
+            for c in &tier {
+                if let ControlFlow::Break(b) = visit(c) {
+                    return Some(b);
+                }
             }
         }
-        // BGP decision: class desc, then path length asc, then early-exit
-        // distance asc, then host ASN for stability.
-        cands.sort_by(|a, b| {
-            b.class
-                .cmp(&a.class)
-                .then(a.len.cmp(&b.len))
-                .then(a.exit_km.partial_cmp(&b.exit_km).unwrap_or(std::cmp::Ordering::Equal))
-                .then(a.group.host.cmp(&b.group.host))
-        });
-        cands
+        None
     }
 
     /// Builds the full assignment for one candidate group: reconstruct the
@@ -1014,6 +1072,106 @@ mod tests {
         let top = drained.ranked_top(Asn(1), &p(0.0), 1);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].site, SiteId(1));
+    }
+
+    #[test]
+    fn tier_tie_is_broken_by_host_not_group_order() {
+        // Eyeball AS1 buys transit from hoster AS10 (hosting the only
+        // site) and from the service's own origin AS5, both meeting it
+        // at lon 5: same class, same length, same exit. The origin group
+        // comes last in group order, but its lower ASN wins the tie.
+        let mut g = AsGraph::new();
+        g.add_as(node(1, AsKind::Eyeball, vec![p(0.0)]));
+        g.add_as(node(5, AsKind::Content, vec![p(20.0)]));
+        g.add_as(node(10, AsKind::Hoster, vec![p(10.0)]));
+        g.add_provider_link(Asn(10), Asn(1), vec![p(5.0)]);
+        g.add_provider_link(Asn(5), Asn(1), vec![p(5.0)]);
+        let dep =
+            AnycastDeployment::new("letter", vec![site(0, 10, 10.0, SiteScope::Global)], vec![])
+                .with_origin(Asn(5), vec![]);
+        let mut cache = RouteCache::new();
+        let c = Catchment::compute(&g, &dep, &mut cache);
+        assert_eq!(
+            c.group_keys(),
+            vec![(Asn(10), ExportScope::Global), (Asn(5), ExportScope::Global)]
+        );
+        let keys = c.candidate_keys(Asn(1), &p(0.0));
+        assert_eq!(keys.len(), 2);
+        assert_eq!((keys[0].class, keys[0].path_len), (keys[1].class, keys[1].path_len));
+        assert_eq!(keys[0].exit_km, keys[1].exit_km);
+        assert_eq!(keys[0].host, Asn(5));
+        let (a, key) = c.assign_with_key(Asn(1), &p(0.0)).unwrap();
+        assert_eq!(key.host, Asn(5));
+        assert_eq!(a.as_path, vec![Asn(1), Asn(5)], "the origin's own session wins");
+        assert_eq!(c.ranked(Asn(1), &p(0.0))[1].as_path, vec![Asn(1), Asn(10), Asn(5)]);
+    }
+
+    #[test]
+    fn same_host_global_local_tie_keeps_group_order() {
+        // AS10 hosts a global site and a local one. Its customer AS1
+        // learns both announcements over the same session: class,
+        // length, exit and host all tie, so group order decides and the
+        // global group (sorted first) wins even though the local site
+        // is nearer.
+        let mut g = AsGraph::new();
+        g.add_as(node(1, AsKind::Eyeball, vec![p(0.0)]));
+        g.add_as(node(10, AsKind::Hoster, vec![p(1.0), p(30.0)]));
+        g.add_provider_link(Asn(10), Asn(1), vec![p(1.0)]);
+        let dep = AnycastDeployment::new(
+            "letter",
+            vec![site(0, 10, 30.0, SiteScope::Global), site(1, 10, 1.0, SiteScope::Local)],
+            vec![],
+        );
+        let mut cache = RouteCache::new();
+        let c = Catchment::compute(&g, &dep, &mut cache);
+        let keys = c.candidate_keys(Asn(1), &p(0.0));
+        assert_eq!(
+            keys.iter().map(|k| k.group()).collect::<Vec<_>>(),
+            vec![(Asn(10), ExportScope::Global), (Asn(10), ExportScope::Local)]
+        );
+        assert_eq!(keys[0].exit_km, keys[1].exit_km);
+        let ranked = c.ranked(Asn(1), &p(0.0));
+        assert_eq!(ranked.iter().map(|a| a.site).collect::<Vec<_>>(), vec![SiteId(0), SiteId(1)]);
+        assert_eq!(c.assign(Asn(1), &p(0.0)).unwrap().site, SiteId(0));
+    }
+
+    #[test]
+    fn drained_best_tier_falls_through_to_next_tier_scored_by_exit() {
+        // Tier (Provider, 2) holds one group, AS10's site 0. Tier
+        // (Provider, 3) holds AS21 (exit at lon 3) and AS31 (exit at lon
+        // 0.2). Draining site 0 for AS1's session empties the best tier,
+        // and the next tier's early-exit winner — AS31, despite its
+        // higher ASN — takes the traffic.
+        let mut g = AsGraph::new();
+        g.add_as(node(1, AsKind::Eyeball, vec![p(0.0)]));
+        g.add_as(node(10, AsKind::Hoster, vec![p(10.0)]));
+        g.add_as(node(20, AsKind::Transit, vec![p(3.0)]));
+        g.add_as(node(21, AsKind::Hoster, vec![p(4.0)]));
+        g.add_as(node(30, AsKind::Transit, vec![p(0.2)]));
+        g.add_as(node(31, AsKind::Hoster, vec![p(2.0)]));
+        g.add_provider_link(Asn(10), Asn(1), vec![p(5.0)]);
+        g.add_provider_link(Asn(20), Asn(1), vec![p(3.0)]);
+        g.add_provider_link(Asn(20), Asn(21), vec![p(3.5)]);
+        g.add_provider_link(Asn(30), Asn(1), vec![p(0.2)]);
+        g.add_provider_link(Asn(30), Asn(31), vec![p(1.0)]);
+        let mut dep = AnycastDeployment::new(
+            "letter",
+            vec![
+                site(0, 10, 10.0, SiteScope::Global),
+                site(1, 21, 4.0, SiteScope::Global),
+                site(2, 31, 2.0, SiteScope::Global),
+            ],
+            vec![],
+        );
+        dep.site_drains = vec![SiteDrain { site: SiteId(0), withheld: vec![Asn(1)] }];
+        let mut cache = RouteCache::new();
+        let c = Catchment::compute(&g, &dep, &mut cache);
+        let hosts: Vec<Asn> = c.candidate_keys(Asn(1), &p(0.0)).iter().map(|k| k.host).collect();
+        assert_eq!(hosts, vec![Asn(10), Asn(31), Asn(21)]);
+        let (a, key) = c.assign_with_key(Asn(1), &p(0.0)).unwrap();
+        assert_eq!((a.site, key.host, key.path_len), (SiteId(2), Asn(31), 3));
+        let top: Vec<SiteId> = c.ranked_top(Asn(1), &p(0.0), 2).iter().map(|a| a.site).collect();
+        assert_eq!(top, vec![SiteId(2), SiteId(1)]);
     }
 
     #[test]

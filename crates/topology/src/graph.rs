@@ -228,29 +228,13 @@ impl AsGraph {
     /// IGP early-exit decisions and as the first waypoint of a path.
     pub fn serving_pop(&self, asn: Asn, point: &GeoPoint) -> GeoPoint {
         let node = self.node(asn);
-        *node
-            .pops
-            .iter()
-            .min_by(|p, q| {
-                p.distance_km(point)
-                    .partial_cmp(&q.distance_km(point))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("nodes always have PoPs")
+        nearest(&node.pops, point).expect("nodes always have PoPs")
     }
 
     /// The interconnect point on `link` nearest to `from` — hot-potato
     /// exit selection.
     pub fn nearest_interconnect(&self, link: usize, from: &GeoPoint) -> GeoPoint {
-        *self.links[link]
-            .interconnects
-            .iter()
-            .min_by(|p, q| {
-                p.distance_km(from)
-                    .partial_cmp(&q.distance_km(from))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("links always have interconnects")
+        nearest(&self.links[link].interconnects, from).expect("links always have interconnects")
     }
 
     /// Ground-truth origin allocation of every /24, for building the
@@ -266,6 +250,17 @@ impl AsGraph {
     pub fn ases_of_kind(&self, kind: AsKind) -> Vec<Asn> {
         self.nodes.iter().filter(|n| n.kind == kind).map(|n| n.asn).collect()
     }
+}
+
+/// The point of `points` nearest to `to`, first one on ties. Each
+/// distance is computed once: map to `(distance, point)`, then take the
+/// minimum (`Iterator::min_by` keeps the first of equal elements).
+fn nearest(points: &[GeoPoint], to: &GeoPoint) -> Option<GeoPoint> {
+    points
+        .iter()
+        .map(|p| (p.distance_km(to), *p))
+        .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(_, p)| p)
 }
 
 #[cfg(test)]
