@@ -43,13 +43,6 @@ pub struct AttackSpec {
     pub sources: Vec<TrafficSource>,
 }
 
-impl AttackSpec {
-    /// Total attack volume.
-    pub fn total_volume(&self) -> f64 {
-        self.sources.iter().map(|s| s.load).sum()
-    }
-}
-
 /// Per-site load limits of one deployment — the capacity side of every
 /// load-coupled simulation in the repo (DDoS cascades here, load-aware
 /// drains in `dynamics`).
@@ -251,29 +244,10 @@ pub fn simulate_attack_capacitated(
     let total_users: f64 = users.iter().map(|u| u.load).sum();
     let (latency_after, unserved) = loop {
         rounds += 1;
-        // Remaining deployment.
-        let alive: Vec<topology::AnycastSite> = deployment
-            .sites
-            .iter()
-            .filter(|s| !dead.contains(&s.id))
-            .cloned()
-            .collect();
-        if alive.is_empty() {
+        // Remaining deployment, re-id'd densely.
+        let Some((dep, original)) = deployment.subset(|s| !dead.contains(&s.id)) else {
             break (WeightedCdf::from_points(vec![]), 1.0);
-        }
-        // Re-id densely, remembering the original ids.
-        let original: Vec<SiteId> = alive.iter().map(|s| s.id).collect();
-        let sites: Vec<topology::AnycastSite> = alive
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut s)| {
-                s.id = SiteId(i as u32);
-                s
-            })
-            .collect();
-        let mut dep = AnycastDeployment::new(deployment.name.clone(), sites, deployment.withhold.clone());
-        dep.origin_as = deployment.origin_as;
-        dep.direct_hosts = deployment.direct_hosts.clone();
+        };
         let catchment = Catchment::compute(graph, &dep, &mut cache);
 
         // Load per (surviving) site.

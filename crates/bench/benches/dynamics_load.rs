@@ -11,6 +11,7 @@
 //! section of `results/dynamics_bench.json`.
 
 use anycast_bench::{bench_world, expanded_engine, host_fields, min_secs, record_bench_section};
+use anycast_context::obs::{json, object};
 use anycast_core::experiments::dynamics_exp::{crowd_caps, entry_sessions, most_shedable_sites};
 use anycast_core::World;
 use dynamics::{DynamicsEngine, RoutingEvent, Scenario};
@@ -61,7 +62,7 @@ fn main() {
     // it is scheduler interference), plus the load ledger of the
     // untimed warm-up run proving the controller acted in it.
     const RUNS: usize = 15;
-    let mut sections = Vec::new();
+    let mut runs = Vec::new();
     let mut per_epoch = Vec::new();
     for ((eng, scenario), &pop) in rigs.iter_mut().zip(&POPULATIONS) {
         let before = eng.load_ledger().clone();
@@ -74,20 +75,18 @@ fn main() {
         let events = timeline.records.len().saturating_sub(1).max(1);
         let ms_per_epoch = secs * 1000.0 / events as f64;
         per_epoch.push(ms_per_epoch);
-        sections.push(format!(
-            "{{\"population\": {pop}, \"cohorts\": {}, \"events\": {events}, \
-             \"ms_per_epoch\": {ms_per_epoch:.3}, \
-             \"controller_rounds\": {rounds}, \"shed_users\": {shed_users:.3}}}",
-            eng.cohort_count(),
-        ));
+        runs.push(object! {
+            "population": pop, "cohorts": eng.cohort_count(), "events": events,
+            "ms_per_epoch": json::fixed(ms_per_epoch, 3),
+            "controller_rounds": rounds, "shed_users": json::fixed(shed_users, 3),
+        });
     }
     let ratio = if per_epoch[1] > 0.0 { per_epoch[2] / per_epoch[1] } else { 0.0 };
-    let json = format!(
-        "{{\"scenario\": \"flash-crowd x2 + distributed controller\", {}, \"runs\": [{}], \
-         \"ratio_1m_vs_100k\": {ratio:.3}}}",
-        host_fields(),
-        sections.join(", "),
-    );
+    let section = object! { "scenario": "flash-crowd x2 + distributed controller" };
+    let json: json::Json = host_fields(section)
+        .field("runs", json::array(runs))
+        .field("ratio_1m_vs_100k", json::fixed(ratio, 3))
+        .into();
     record_bench_section("dynamics_load", &json);
-    println!("dynamics closed-loop scale sweep: {json}");
+    println!("dynamics closed-loop scale sweep: {}", json.0);
 }

@@ -13,6 +13,7 @@
 //! `results/dynamics_bench.json`.
 
 use anycast_bench::{bench_world, expanded_engine, host_fields, min_secs, record_bench_section};
+use anycast_context::obs::{json, object};
 use anycast_core::experiments::dynamics_exp::hottest_site;
 use dynamics::{DynamicsEngine, Scenario};
 use netsim::SimTime;
@@ -42,7 +43,7 @@ fn main() {
     // otherwise swamp the 1M-vs-100k comparison), plus one run's
     // invalidation ledger proving the slice walk undercut a scan.
     const RUNS: usize = 15;
-    let mut sections = Vec::new();
+    let mut runs = Vec::new();
     let mut per_epoch = Vec::new();
     for (eng, &pop) in engines.iter_mut().zip(&POPULATIONS) {
         // One untimed warm-up run so each engine is measured with the
@@ -61,19 +62,17 @@ fn main() {
         let events = timeline.records.len().saturating_sub(1).max(1);
         let ms_per_epoch = secs * 1000.0 / events as f64;
         per_epoch.push(ms_per_epoch);
-        sections.push(format!(
-            "{{\"population\": {pop}, \"cohorts\": {}, \"events\": {events}, \
-             \"ms_per_epoch\": {ms_per_epoch:.3}, \
-             \"slice_users\": {slice}, \"scan_equivalent_users\": {scan}}}",
-            eng.cohort_count(),
-        ));
+        runs.push(object! {
+            "population": pop, "cohorts": eng.cohort_count(), "events": events,
+            "ms_per_epoch": json::fixed(ms_per_epoch, 3),
+            "slice_users": slice, "scan_equivalent_users": scan,
+        });
     }
     let ratio = if per_epoch[1] > 0.0 { per_epoch[2] / per_epoch[1] } else { 0.0 };
-    let json = format!(
-        "{{\"scenario\": \"site-flap x2\", {}, \"runs\": [{}], \"ratio_1m_vs_100k\": {ratio:.3}}}",
-        host_fields(),
-        sections.join(", "),
-    );
+    let json: json::Json = host_fields(object! { "scenario": "site-flap x2" })
+        .field("runs", json::array(runs))
+        .field("ratio_1m_vs_100k", json::fixed(ratio, 3))
+        .into();
     record_bench_section("dynamics_scale", &json);
-    println!("dynamics columnar scale sweep: {json}");
+    println!("dynamics columnar scale sweep: {}", json.0);
 }

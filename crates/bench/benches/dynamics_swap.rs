@@ -10,6 +10,7 @@
 //! `results/dynamics_bench.json`.
 
 use anycast_bench::{bench_world, host_fields, min_secs, record_bench_section};
+use anycast_context::obs::{json, object};
 use anycast_core::experiments::dynamics_exp::dyn_users;
 use anycast_core::World;
 use cdn::Cdn;
@@ -58,25 +59,27 @@ fn main() {
     let (inc_secs, inc_timeline) = min_secs(RUNS, || incremental.run(&scenario));
     let (full_secs, full_timeline) = min_secs(RUNS, || full.run(&scenario));
     let events = inc_timeline.records.len().saturating_sub(1);
-    let (inc_rc, inc_ru) = inc_timeline.recompute_totals();
-    let (full_rc, full_ru) = full_timeline.recompute_totals();
+    let (inc_rc, full_rc) = (inc_timeline.recompute_totals().0, full_timeline.recompute_totals().0);
     assert!(
         inc_rc < full_rc,
         "swap epochs recomputed {inc_rc} entries incrementally, {full_rc} fully — \
          the remap + site-diff path must win"
     );
-    let json = format!(
-        "{{\"scenario\": \"ring promote R74->R95, demote back\", {}, \"events\": {events}, \
-         \"incremental\": {{\"secs_per_run\": {inc_secs:.4}, \"ms_per_event\": {:.3}, \
-         \"assign_recomputed\": {inc_rc}, \"assign_reused\": {inc_ru}}}, \
-         \"full\": {{\"secs_per_run\": {full_secs:.4}, \"ms_per_event\": {:.3}, \
-         \"assign_recomputed\": {full_rc}, \"assign_reused\": {full_ru}}}, \
-         \"speedup\": {:.2}}}",
-        host_fields(),
-        inc_secs * 1000.0 / events.max(1) as f64,
-        full_secs * 1000.0 / events.max(1) as f64,
-        if inc_secs > 0.0 { full_secs / inc_secs } else { 0.0 },
-    );
+    let side = |secs: f64, (recomputed, reused): (u64, u64)| {
+        object! {
+            "secs_per_run": json::fixed(secs, 4),
+            "ms_per_event": json::fixed(secs * 1000.0 / events.max(1) as f64, 3),
+            "assign_recomputed": recomputed, "assign_reused": reused,
+        }
+    };
+    let speedup = if inc_secs > 0.0 { full_secs / inc_secs } else { 0.0 };
+    let section = object! { "scenario": "ring promote R74->R95, demote back" };
+    let json: json::Json = host_fields(section)
+        .field("events", events)
+        .field("incremental", side(inc_secs, inc_timeline.recompute_totals()))
+        .field("full", side(full_secs, full_timeline.recompute_totals()))
+        .field("speedup", json::fixed(speedup, 2))
+        .into();
     record_bench_section("dynamics_swap", &json);
-    println!("dynamics swap incremental vs full: {json}");
+    println!("dynamics swap incremental vs full: {}", json.0);
 }

@@ -14,6 +14,7 @@
 //! acceptance floor is asserted here.
 
 use anycast_bench::{bench_world, expanded_engine, host_fields, min_secs, record_bench_section};
+use anycast_context::obs::{json, object};
 use anycast_context::par;
 use anycast_core::experiments::dynamics_exp::hottest_site;
 use dynamics::{RoutingEvent, Scenario};
@@ -40,7 +41,8 @@ fn main() {
     // estimates the intrinsic per-query cost; anything above it is
     // scheduler noise.
     par::set_threads(1);
-    let host = host_fields();
+    let section = object! { "scenario": "hottest-site flap", "population": POPULATION };
+    let section = host_fields(section);
     const RUNS: usize = 15;
     replay(&mut eng, &scenario, &cfg);
     let (secs, outcome) = min_secs(RUNS, || replay(&mut eng, &scenario, &cfg));
@@ -56,15 +58,14 @@ fn main() {
         "replay must sustain {FLOOR_QPS:.0} q/s on one core, measured {qps:.0}"
     );
     let windows = outcome.windows.len();
-    let json = format!(
-        "{{\"scenario\": \"hottest-site flap\", \"population\": {POPULATION}, \
-         {host}, \"windows\": {windows}, \"queries_per_run\": {}, \
-         \"min_secs\": {secs:.6}, \"queries_per_sec\": {qps:.0}, \
-         \"user_windows_per_sec\": {:.0}, \
-         \"floor_queries_per_sec\": {FLOOR_QPS:.0}}}",
-        outcome.generated,
-        (POPULATION * windows) as f64 / secs,
-    );
+    let json: json::Json = section
+        .field("windows", windows)
+        .field("queries_per_run", outcome.generated)
+        .field("min_secs", json::fixed(secs, 6))
+        .field("queries_per_sec", json::fixed(qps, 0))
+        .field("user_windows_per_sec", json::fixed((POPULATION * windows) as f64 / secs, 0))
+        .field("floor_queries_per_sec", json::fixed(FLOOR_QPS, 0))
+        .into();
     record_bench_section("replay_throughput", &json);
-    println!("replay throughput sweep: {json}");
+    println!("replay throughput sweep: {}", json.0);
 }

@@ -7,6 +7,7 @@
 //! at a scale chosen so a bench run is meaningful but quick. Timing is
 //! [`min_secs`] and nothing else.
 
+use anycast_context::obs::json::{Json, Object};
 use anycast_core::experiments::dynamics_exp::{busiest_letter, dyn_users};
 use anycast_core::{World, WorldConfig};
 use dynamics::{expand_counts, DynamicsEngine, RecomputeMode};
@@ -72,12 +73,12 @@ pub fn expanded_engine(world: &World, population: usize) -> DynamicsEngine<'_> {
     )
 }
 
-/// The host facts every recorded section carries, as JSON members:
-/// `"cores"` is `available_parallelism` and `"threads"` the `par`
-/// worker count in effect when called.
-pub fn host_fields() -> String {
+/// Appends the host facts every recorded section carries to
+/// `section`: `"cores"` is `available_parallelism` and `"threads"` the
+/// `par` worker count in effect when called.
+pub fn host_fields(section: Object) -> Object {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    format!("\"cores\": {cores}, \"threads\": {}", par::threads())
+    section.field("cores", cores).field("threads", par::threads())
 }
 
 /// Runs `f` `runs` times and returns the fastest run's wall-clock
@@ -100,100 +101,37 @@ pub fn min_secs<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// `results/dynamics_bench.json`, preserving the sections other
 /// benches wrote: `{"dynamics_incremental": {...}, "dynamics_swap":
 /// {...}}`. Sections are kept sorted by name so the file is
-/// byte-stable regardless of which bench ran last. `body` must be one
-/// JSON object (the repo vendors no JSON writer, so benches hand-roll
-/// it like the repro driver's `timings.json`).
-pub fn record_bench_section(name: &str, body: &str) {
+/// byte-stable regardless of which bench ran last.
+pub fn record_bench_section(name: &str, body: &Json) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/dynamics_bench.json");
     let existing = std::fs::read_to_string(path).unwrap_or_default();
-    std::fs::write(path, upsert_section(&existing, name, body))
+    std::fs::write(path, upsert_section(&existing, name, &body.0))
         .expect("write dynamics_bench.json");
 }
 
 /// Pure core of [`record_bench_section`]: replaces or inserts section
-/// `name` in the sectioned JSON document `existing` and returns the
-/// re-rendered document. A document that is not in the sectioned
-/// format (e.g. the legacy flat summary) is discarded rather than
-/// half-merged.
+/// `name` in `existing` and returns the re-rendered document. Each
+/// `  "name": {...}` line is one section, as the JSON writer laid it
+/// out; panics if `body` spans more than one line.
 pub fn upsert_section(existing: &str, name: &str, body: &str) -> String {
-    let mut sections = parse_sections(existing);
-    sections.retain(|(k, _)| k != name);
-    sections.push((name.to_string(), body.trim().to_string()));
-    sections.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in sections.iter().enumerate() {
-        out.push_str("  \"");
-        out.push_str(k);
-        out.push_str("\": ");
-        out.push_str(v);
-        out.push_str(if i + 1 < sections.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Splits a `{"key": {...}, ...}` document into its top-level
-/// `(key, object)` pairs with a string-aware brace scanner. Returns no
-/// sections when any top-level value is not an object (the document is
-/// not sectioned) or when the input is not one object.
-fn parse_sections(s: &str) -> Vec<(String, String)> {
-    let s = s.trim();
-    let Some(inner) = s.strip_prefix('{').and_then(|r| r.strip_suffix('}')) else {
-        return Vec::new();
-    };
-    let bytes = inner.as_bytes();
-    let mut sections = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        // Key: the next string literal.
-        let Some(ks) = inner[i..].find('"').map(|p| i + p + 1) else { break };
-        let Some(ke) = inner[ks..].find('"').map(|p| ks + p) else { return Vec::new() };
-        let key = &inner[ks..ke];
-        // Value: must start with '{' right after the colon.
-        let Some(vs) = inner[ke + 1..].find(':').map(|p| ke + 2 + p) else { return Vec::new() };
-        let mut j = vs;
-        while j < bytes.len() && (bytes[j] as char).is_whitespace() {
-            j += 1;
-        }
-        if j >= bytes.len() || bytes[j] != b'{' {
-            return Vec::new(); // scalar at top level: not sectioned
-        }
-        // Balanced-brace scan, skipping braces inside string literals.
-        let (mut depth, mut in_str, mut escaped) = (0usize, false, false);
-        let mut end = None;
-        for (off, &b) in bytes[j..].iter().enumerate() {
-            if in_str {
-                match b {
-                    _ if escaped => escaped = false,
-                    b'\\' => escaped = true,
-                    b'"' => in_str = false,
-                    _ => {}
-                }
-            } else {
-                match b {
-                    b'"' => in_str = true,
-                    b'{' => depth += 1,
-                    b'}' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = Some(j + off + 1);
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let Some(end) = end else { return Vec::new() };
-        sections.push((key.to_string(), inner[j..end].to_string()));
-        i = end;
-    }
-    sections
+    assert!(!body.contains('\n'), "section {name:?} must be one line of JSON");
+    let mut sections: Vec<(&str, &str)> = existing
+        .lines()
+        .filter_map(|line| line.strip_prefix("  \"")?.split_once("\": "))
+        .filter(|(key, _)| *key != name)
+        .collect();
+    sections.push((name, body.trim()));
+    sections.sort_by_key(|(key, _)| *key);
+    let doc = sections.iter().fold(Object::default(), |doc, (key, value)| {
+        doc.field(key, Json(value.trim_end_matches(',').to_string()))
+    });
+    doc.block().into_document()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anycast_context::obs::{json, object};
 
     #[test]
     fn min_secs_keeps_the_fastest_run_and_the_last_output() {
@@ -236,6 +174,131 @@ mod tests {
         let doc = upsert_section("", "a", body);
         let doc = upsert_section(&doc, "b", r#"{"y": 2}"#);
         assert!(doc.contains(body), "nested section must round-trip: {doc}");
+    }
+
+    #[test]
+    fn upserting_each_committed_section_gives_the_committed_file_back() {
+        let committed = include_str!("../../../results/dynamics_bench.json");
+        let sections: Vec<(&str, &str)> = committed
+            .lines()
+            .filter_map(|line| line.strip_prefix("  \"")?.split_once("\": "))
+            .collect();
+        assert_eq!(sections.len(), 5, "one line per recording bench");
+        for (name, body) in sections {
+            let body = body.strip_suffix(',').unwrap_or(body);
+            assert_eq!(upsert_section(committed, name, body), committed, "section {name}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be one line")]
+    fn multi_line_section_is_rejected() {
+        upsert_section("", "a", "{\n  \"b\": 1\n}");
+    }
+
+    /// Each bench's section shape, rendered by the writer from fixed
+    /// inputs, against the string its former `format!` body produced
+    /// for the same inputs.
+    #[test]
+    fn sections_keep_the_former_keys_order_and_precision() {
+        let host = |section: Object| section.field("cores", 2u64).field("threads", 2u64);
+        let events = 4usize;
+        let side = |secs: f64, (recomputed, reused): (u64, u64)| {
+            object! {
+                "secs_per_run": json::fixed(secs, 4),
+                "ms_per_event": json::fixed(secs * 1000.0 / events.max(1) as f64, 3),
+                "assign_recomputed": recomputed, "assign_reused": reused,
+            }
+        };
+        let (inc_secs, full_secs) = (0.00149, 0.00661);
+        let ab: Json = host(object! { "scenario": "site-flap x2" })
+            .field("events", events)
+            .field("incremental", side(inc_secs, (200, 1828)))
+            .field("full", side(full_secs, (2028, 0)))
+            .field("speedup", json::fixed(full_secs / inc_secs, 2))
+            .into();
+        assert_eq!(
+            ab.0,
+            "{\"scenario\": \"site-flap x2\", \"cores\": 2, \"threads\": 2, \"events\": 4, \
+             \"incremental\": {\"secs_per_run\": 0.0015, \"ms_per_event\": 0.372, \
+             \"assign_recomputed\": 200, \"assign_reused\": 1828}, \"full\": {\"secs_per_run\": \
+             0.0066, \"ms_per_event\": 1.653, \"assign_recomputed\": 2028, \"assign_reused\": 0}, \
+             \"speedup\": 4.44}"
+        );
+
+        let per_epoch = [0.2936, 0.26512, 0.31294];
+        let ledgers = [
+            (10_000u64, 24_858u64, 40_000u64),
+            (100_000, 249_652, 400_000),
+            (1_000_000, 2_497_570, 4_000_000),
+        ];
+        let runs = per_epoch.iter().zip(ledgers).map(|(&ms_per_epoch, (pop, slice, scan))| {
+            object! {
+                "population": pop, "cohorts": 507usize, "events": 4usize,
+                "ms_per_epoch": json::fixed(ms_per_epoch, 3),
+                "slice_users": slice, "scan_equivalent_users": scan,
+            }
+        });
+        let scale: Json = host(object! { "scenario": "site-flap x2" })
+            .field("runs", json::array(runs))
+            .field("ratio_1m_vs_100k", json::fixed(per_epoch[2] / per_epoch[1], 3))
+            .into();
+        assert_eq!(
+            scale.0,
+            "{\"scenario\": \"site-flap x2\", \"cores\": 2, \"threads\": 2, \"runs\": [\
+             {\"population\": 10000, \"cohorts\": 507, \"events\": 4, \"ms_per_epoch\": 0.294, \
+             \"slice_users\": 24858, \"scan_equivalent_users\": 40000}, {\"population\": 100000, \
+             \"cohorts\": 507, \"events\": 4, \"ms_per_epoch\": 0.265, \"slice_users\": 249652, \
+             \"scan_equivalent_users\": 400000}, {\"population\": 1000000, \"cohorts\": 507, \
+             \"events\": 4, \"ms_per_epoch\": 0.313, \"slice_users\": 2497570, \
+             \"scan_equivalent_users\": 4000000}], \"ratio_1m_vs_100k\": 1.180}"
+        );
+
+        let per_epoch = [0.2456, 0.2471, 0.3139];
+        let (rounds, shed_users) = (3u64, 4_681_293.708_12);
+        let pops = [10_000u64, 100_000, 1_000_000];
+        let runs = per_epoch.iter().zip(pops).map(|(&ms_per_epoch, pop)| {
+            object! {
+                "population": pop, "cohorts": 507usize, "events": 10usize,
+                "ms_per_epoch": json::fixed(ms_per_epoch, 3),
+                "controller_rounds": rounds, "shed_users": json::fixed(shed_users, 3),
+            }
+        });
+        let load: Json = host(object! { "scenario": "flash-crowd x2 + distributed controller" })
+            .field("runs", json::array(runs))
+            .field("ratio_1m_vs_100k", json::fixed(per_epoch[2] / per_epoch[1], 3))
+            .into();
+        assert_eq!(
+            load.0,
+            "{\"scenario\": \"flash-crowd x2 + distributed controller\", \"cores\": 2, \
+             \"threads\": 2, \"runs\": [{\"population\": 10000, \"cohorts\": 507, \"events\": 10, \
+             \"ms_per_epoch\": 0.246, \"controller_rounds\": 3, \"shed_users\": 4681293.708}, \
+             {\"population\": 100000, \"cohorts\": 507, \"events\": 10, \"ms_per_epoch\": 0.247, \
+             \"controller_rounds\": 3, \"shed_users\": 4681293.708}, {\"population\": 1000000, \
+             \"cohorts\": 507, \"events\": 10, \"ms_per_epoch\": 0.314, \"controller_rounds\": 3, \
+             \"shed_users\": 4681293.708}], \"ratio_1m_vs_100k\": 1.270}"
+        );
+
+        let (secs, generated, windows) = (0.032_061_2, 48_495_825u64, 15usize);
+        let section = object! { "scenario": "hottest-site flap", "population": 200_000usize };
+        let replay: Json = section
+            .field("cores", 2u64)
+            .field("threads", 1u64)
+            .field("windows", windows)
+            .field("queries_per_run", generated)
+            .field("min_secs", json::fixed(secs, 6))
+            .field("queries_per_sec", json::fixed(generated as f64 / secs, 0))
+            .field("user_windows_per_sec", json::fixed((200_000 * windows) as f64 / secs, 0))
+            .field("floor_queries_per_sec", json::fixed(10_000_000.0, 0))
+            .into();
+        assert_eq!(
+            replay.0,
+            "{\"scenario\": \"hottest-site flap\", \"population\": 200000, \"cores\": 2, \
+             \"threads\": 1, \"windows\": 15, \"queries_per_run\": 48495825, \
+             \"min_secs\": 0.032061, \
+             \"queries_per_sec\": 1512601681, \"user_windows_per_sec\": 93571045, \
+             \"floor_queries_per_sec\": 10000000}"
+        );
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! (`par`); output is buffered and emitted in id order, so the text and
 //! CSV artifacts are byte-identical at any `--threads` value. Each
 //! artifact prints to stdout and, with `--out`, is also written as CSV
-//! for plotting, alongside two JSON records:
+//! for plotting, alongside two JSON records, both rendered by the `obs`
+//! JSON writer:
 //!
 //! * `timings.json` — wall-clock per experiment (the one output that
 //!   legitimately varies run to run), and
@@ -21,8 +22,9 @@
 //! span tree to stderr as stages finish and prints the aggregated tree
 //! at the end; the default run is silent apart from the artifacts.
 
-use anycast_core::experiments::{run, ALL_IDS, DESCRIPTIONS};
+use anycast_core::experiments::{run, ALL_IDS, EXPERIMENTS};
 use anycast_core::{Artifact, World, WorldConfig};
+use obs::{json, object};
 use std::io::Write;
 
 fn main() {
@@ -86,9 +88,9 @@ fn main() {
                         "core paper artifacts"
                     }
                 };
-                let width = 2 + DESCRIPTIONS.iter().map(|(id, _)| id.len()).max().unwrap_or(0);
+                let width = 2 + ALL_IDS.iter().map(|id| id.len()).max().unwrap_or(0);
                 let mut current = "";
-                for (id, desc) in DESCRIPTIONS {
+                for (id, desc, _) in EXPERIMENTS {
                     let f = family(id);
                     if f != current {
                         if !current.is_empty() {
@@ -195,21 +197,17 @@ fn main() {
     }
 }
 
-/// Hand-rendered JSON (the build is offline; no serde_json available).
+/// `timings.json`: wall-clock seconds and artifact items per experiment.
 fn render_timings(timings: &[(String, f64, u64)], threads: usize, total_secs: f64) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"threads\": {threads},\n"));
-    s.push_str(&format!("  \"total_secs\": {total_secs:.3},\n"));
-    s.push_str("  \"experiments\": [\n");
-    for (i, (id, secs, items)) in timings.iter().enumerate() {
+    let experiments = timings.iter().map(|(id, secs, items)| {
         let rate = if *secs > 0.0 { *items as f64 / secs } else { 0.0 };
-        s.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"secs\": {secs:.3}, \"items\": {items}, \"items_per_sec\": {rate:.1}}}{}\n",
-            if i + 1 < timings.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+        object! {
+            "id": id.as_str(), "secs": json::fixed(*secs, 3), "items": *items,
+            "items_per_sec": json::fixed(rate, 1),
+        }
+    });
+    let doc = object! { "threads": threads, "total_secs": json::fixed(total_secs, 3) };
+    doc.field("experiments", json::block_array(experiments)).block().into_document()
 }
 
 /// The known id nearest to `input` by edit distance, if any comes
@@ -241,4 +239,34 @@ fn edit_distance(a: &str, b: &str) -> usize {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fixed inputs against the strings the former hand-built
+    /// renderer produced for them.
+    #[test]
+    fn timings_keep_the_former_keys_order_and_precision() {
+        let timings = [
+            ("fig2".to_string(), 0.06157, 17_110),
+            ("tab1".to_string(), 0.000_015_1, 14),
+            ("dynchaos".to_string(), 98.4, 0),
+            ("none".to_string(), 0.0, 7),
+        ];
+        assert_eq!(
+            render_timings(&timings, 2, 107.6012),
+            "{\n  \"threads\": 2,\n  \"total_secs\": 107.601,\n  \"experiments\": [\n    \
+             {\"id\": \"fig2\", \"secs\": 0.062, \"items\": 17110, \
+             \"items_per_sec\": 277895.1},\n    \
+             {\"id\": \"tab1\", \"secs\": 0.000, \"items\": 14, \"items_per_sec\": 927152.3},\n    \
+             {\"id\": \"dynchaos\", \"secs\": 98.400, \"items\": 0, \"items_per_sec\": 0.0},\n    \
+             {\"id\": \"none\", \"secs\": 0.000, \"items\": 7, \"items_per_sec\": 0.0}\n  ]\n}\n"
+        );
+        assert_eq!(
+            render_timings(&[], 1, 0.0),
+            "{\n  \"threads\": 1,\n  \"total_secs\": 0.000,\n  \"experiments\": [\n  ]\n}\n"
+        );
+    }
 }

@@ -77,8 +77,8 @@ use netsim::{LastMile, LatencyModel, PathProfile, SimClock, SimTime};
 use par::{DetHashMap, DetHashSet};
 use std::sync::Arc;
 use topology::{
-    AnycastDeployment, AnycastSite, AsGraph, Asn, CandidateKey, Catchment, ExportScope,
-    OriginRoutes, RouteCache, SiteDrain, SiteId,
+    AnycastDeployment, AsGraph, Asn, CandidateKey, Catchment, ExportScope, OriginRoutes,
+    RouteCache, SiteDrain, SiteId,
 };
 
 /// Floor of the stylized BGP convergence model: even a tiny change
@@ -905,28 +905,11 @@ impl<'g> DynamicsEngine<'g> {
     /// Scenario builders use this to aim peering events at sessions
     /// that actually carry traffic — withholding is per host neighbor,
     /// so only host-adjacent ASes are meaningful targets.
-    pub fn transit_loads(&self) -> Vec<(Asn, f64)> {
-        let mut out: Vec<(Asn, f64)> = self.via_loads(None).into_iter().collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
-
-    /// User weight entering the deployment through each host-adjacent
-    /// neighbor AS *among the users `site` currently serves* — one
-    /// site's share of [`DynamicsEngine::global_via_loads`]. Load
-    /// controllers and drain plans both shed in units of these entry
-    /// sessions.
-    pub fn site_via_loads(&self, site: SiteId) -> DetHashMap<Asn, f64> {
-        self.via_loads(Some(site))
-    }
-
-    /// User weight entering the deployment through each host-adjacent
-    /// neighbor AS, across all sites. Users inside a host AS cross no
-    /// such session and are not counted.
     ///
-    /// The per-site views partition this global view: every (neighbor,
-    /// weight) entry is the sum of the per-site entries, because each
-    /// served cohort has exactly one serving site.
+    /// The per-site views of [`DynamicsEngine::site_via_loads`]
+    /// partition this one: every (neighbor, weight) entry is the sum of
+    /// the per-site entries, because each served cohort has exactly one
+    /// serving site.
     ///
     /// ```
     /// use anycast_dynamics::{DynUser, DynamicsEngine, RecomputeMode};
@@ -970,7 +953,7 @@ impl<'g> DynamicsEngine<'g> {
     ///     RecomputeMode::Incremental,
     /// );
     ///
-    /// let global = eng.global_via_loads();
+    /// let global = eng.transit_loads();
     /// let mut merged: DetHashMap<Asn, f64> = DetHashMap::default();
     /// for s in (0..3).map(SiteId) {
     ///     for (a, w) in eng.site_via_loads(s) {
@@ -983,8 +966,19 @@ impl<'g> DynamicsEngine<'g> {
     ///     assert!((m - w).abs() < 1e-9, "session {a} splits exactly across sites");
     /// }
     /// ```
-    pub fn global_via_loads(&self) -> DetHashMap<Asn, f64> {
-        self.via_loads(None)
+    pub fn transit_loads(&self) -> Vec<(Asn, f64)> {
+        let mut out: Vec<(Asn, f64)> = self.via_loads(None).into_iter().collect();
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        out
+    }
+
+    /// User weight entering the deployment through each host-adjacent
+    /// neighbor AS *among the users `site` currently serves* — one
+    /// site's share of [`DynamicsEngine::transit_loads`]. Load
+    /// controllers and drain plans both shed in units of these entry
+    /// sessions.
+    pub fn site_via_loads(&self, site: SiteId) -> DetHashMap<Asn, f64> {
+        self.via_loads(Some(site))
     }
 
     /// Entry-session loads per site in one cohort pass: element `s`
@@ -1746,26 +1740,12 @@ impl<'g> DynamicsEngine<'g> {
     /// into the withhold list. `None` when nothing is announced. The
     /// second element maps dense ids back to original ids.
     fn effective_deployment(&self) -> Option<(Arc<AnycastDeployment>, Vec<SiteId>)> {
-        let mut sites: Vec<AnycastSite> = Vec::new();
-        let mut orig: Vec<SiteId> = Vec::new();
-        for (i, s) in self.base.sites.iter().enumerate() {
-            if self.alive[i] && self.withdrawn_hosts.binary_search(&s.host).is_err() {
-                orig.push(s.id);
-                let mut s = s.clone();
-                s.id = SiteId(sites.len() as u32);
-                sites.push(s);
-            }
-        }
-        if sites.is_empty() {
-            return None;
-        }
-        let mut withhold = self.base.withhold.clone();
-        withhold.extend(self.lost_peerings.iter().copied());
-        withhold.sort_unstable();
-        withhold.dedup();
-        let mut dep = AnycastDeployment::new(self.base.name.clone(), sites, withhold);
-        dep.origin_as = self.base.origin_as;
-        dep.direct_hosts = self.base.direct_hosts.clone();
+        let (mut dep, orig) = self.base.subset(|s| {
+            self.alive[s.id.0 as usize] && self.withdrawn_hosts.binary_search(&s.host).is_err()
+        })?;
+        dep.withhold.extend(self.lost_peerings.iter().copied());
+        dep.withhold.sort_unstable();
+        dep.withhold.dedup();
         // Active withhold sets — partial drains merged with controller
         // sheds — translated to dense ids (`orig` is ascending).
         // Holding drains have no withheld set: their site is simply
@@ -2119,7 +2099,7 @@ impl<'g> DynamicsEngine<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topology::{InternetGenerator, SiteScope, TopologyConfig};
+    use topology::{AnycastSite, InternetGenerator, SiteScope, TopologyConfig};
 
     fn world(n_sites: usize) -> (topology::gen::Internet, Arc<AnycastDeployment>, Vec<DynUser>) {
         let mut net = InternetGenerator::generate(&TopologyConfig::small(111));
@@ -2585,13 +2565,13 @@ mod tests {
     /// The public via-load accessors share one accumulator with the
     /// drain plans and the controller observation; the partition
     /// property itself is the doc test on
-    /// [`DynamicsEngine::global_via_loads`]. Here: the by-site batch
+    /// [`DynamicsEngine::transit_loads`]. Here: the by-site batch
     /// view matches the per-site accessor, lightest first.
     #[test]
     fn via_loads_by_site_matches_the_public_accessors() {
         let (net, dep, users) = world(4);
         let e = engine(&net, &dep, &users, RecomputeMode::Incremental);
-        assert!(!e.global_via_loads().is_empty(), "somebody must enter through a neighbor");
+        assert!(!e.transit_loads().is_empty(), "somebody must enter through a neighbor");
         let by_site = e.via_loads_by_site();
         assert_eq!(by_site.len(), dep.sites.len());
         for (i, sessions) in by_site.iter().enumerate() {

@@ -18,7 +18,8 @@
 //! * two **sinks** — a human span tree with timings
 //!   ([`render_tree`], printed live at `--verbose`) and the
 //!   deterministic machine document [`render_metrics_json`], written by
-//!   `repro` to `results/metrics.json` alongside `timings.json`.
+//!   `repro` to `results/metrics.json` alongside `timings.json`;
+//! * [`json`], the one JSON writer behind every `results/*.json` file.
 //!
 //! Like `anycast-par`, the crate has **no dependencies** (the build is
 //! offline) and sits below every instrumented layer.
@@ -73,6 +74,7 @@
 
 #![deny(missing_docs)]
 
+pub mod json;
 mod metrics;
 mod sheet;
 mod sink;
@@ -113,15 +115,6 @@ pub fn set_verbose(on: bool) {
 /// Whether verbose mode is on.
 pub fn verbose() -> bool {
     metrics::registry().verbose.load(Ordering::Relaxed)
-}
-
-/// Clears all recorded counters, histograms, and spans (verbose mode is
-/// left as-is). For tests and multi-run tools that reuse one process;
-/// open spans are unaffected and will re-create their paths on close.
-pub fn reset() {
-    metrics::lock_counters().clear();
-    metrics::lock_hists().clear();
-    metrics::lock_spans().clear();
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! The two output sinks: a human-readable span tree (verbose stderr)
 //! and the deterministic `metrics.json` document.
 
+use crate::json::{array, block_array, num, Object};
 use crate::metrics::{lock_counters, lock_hists, lock_spans, SpanStats};
+use crate::object;
 use std::collections::BTreeMap;
 
 /// Renders the closed-span tree with wall-clock totals — the
@@ -58,67 +60,23 @@ fn render_subtree(
 /// the verbose tree). For one seed the document is byte-identical at
 /// any `--threads` value — enforced by integration test.
 pub fn render_metrics_json() -> String {
-    let mut out = String::from("{\n");
-
-    out.push_str("  \"counters\": {");
-    let counters = lock_counters();
-    for (i, (name, value)) in counters.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!("    \"{}\": {value}", escape(name)));
-    }
-    drop(counters);
-    out.push_str("\n  },\n");
-
-    out.push_str("  \"histograms\": {");
-    let hists = lock_hists();
-    for (i, (name, h)) in hists.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    \"{}\": {{\"count\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-            escape(name),
-            h.count(),
-            json_num(h.min()),
-            json_num(h.max()),
-        ));
-        for (j, (le, n)) in h.nonzero_buckets().into_iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            // The overflow bucket's bound is +inf, which JSON cannot
-            // express as a number; it serializes as null.
-            let le = if le.is_finite() { format!("{le}") } else { "null".to_string() };
-            out.push_str(&format!("[{le}, {n}]"));
-        }
-        out.push_str("]}");
-    }
-    drop(hists);
-    out.push_str("\n  },\n");
-
-    out.push_str("  \"spans\": [");
-    let spans = lock_spans();
-    for (i, (path, stats)) in spans.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"path\": \"{}\", \"count\": {}, \"items\": {}}}",
-            escape(path),
-            stats.count,
-            stats.items
-        ));
-    }
-    drop(spans);
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-fn json_num(v: Option<f64>) -> String {
-    match v {
-        Some(v) if v.is_finite() => format!("{v}"),
-        _ => "null".to_string(),
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    let counters = lock_counters().iter().fold(Object::default(), |o, (name, n)| o.field(name, *n));
+    let histograms = lock_hists().iter().fold(Object::default(), |o, (name, h)| {
+        // An empty histogram has no extrema, and the overflow bucket's
+        // bound is +inf: JSON has neither, so both render as null.
+        let (min, max) = (h.min().unwrap_or(f64::NAN), h.max().unwrap_or(f64::NAN));
+        let buckets = h.nonzero_buckets().into_iter().map(|(le, n)| array([num(le), n.into()]));
+        let hist = object! {
+            "count": h.count(), "min": num(min), "max": num(max), "buckets": array(buckets),
+        };
+        o.field(name, hist)
+    });
+    let spans: Vec<Object> = lock_spans()
+        .iter()
+        .map(|(path, s)| object! { "path": path.as_str(), "count": s.count, "items": s.items })
+        .collect();
+    let doc = object! { "counters": counters.block(), "histograms": histograms.block() };
+    doc.field("spans", block_array(spans)).block().into_document()
 }
 
 #[cfg(test)]

@@ -162,6 +162,31 @@ impl AnycastDeployment {
         self
     }
 
+    /// The sites `keep` accepts, re-id'd densely in their original
+    /// order, as a deployment with the same name, withhold list, origin
+    /// AS and direct hosts. Staged drains are not carried over (their
+    /// site ids would be stale). The second element maps each dense id
+    /// back to the original id; `None` when no site is kept.
+    pub fn subset(
+        &self,
+        mut keep: impl FnMut(&AnycastSite) -> bool,
+    ) -> Option<(AnycastDeployment, Vec<SiteId>)> {
+        let (sites, original): (Vec<AnycastSite>, Vec<SiteId>) = self
+            .sites
+            .iter()
+            .filter(|s| keep(s))
+            .enumerate()
+            .map(|(i, s)| (AnycastSite { id: SiteId(i as u32), ..s.clone() }, s.id))
+            .unzip();
+        if sites.is_empty() {
+            return None;
+        }
+        let mut dep = AnycastDeployment::new(self.name.clone(), sites, self.withhold.clone());
+        dep.origin_as = self.origin_as;
+        dep.direct_hosts = self.direct_hosts.clone();
+        Some((dep, original))
+    }
+
     /// Sites with global scope — the set Eq. 1/2 minimize over ("we only
     /// consider global sites, since we do not know which recursives can
     /// reach local sites").
@@ -530,11 +555,6 @@ impl<'g> Catchment<'g> {
         &self.deployment
     }
 
-    /// Shared handle to the deployment.
-    pub fn deployment_arc(&self) -> Arc<AnycastDeployment> {
-        Arc::clone(&self.deployment)
-    }
-
     /// The site BGP selects for traffic from AS `src` at `user_loc`, or
     /// `None` if the source cannot reach any site.
     pub fn assign(&self, src: Asn, user_loc: &GeoPoint) -> Option<SiteAssignment> {
@@ -822,6 +842,28 @@ mod tests {
             vec![],
         );
         (g, dep)
+    }
+
+    #[test]
+    fn subset_renumbers_kept_sites_and_copies_the_routing_fields() {
+        let dep = AnycastDeployment::new(
+            "letter",
+            vec![
+                site(0, 10, 0.0, SiteScope::Global),
+                site(1, 11, 1.0, SiteScope::Local),
+                site(2, 12, 2.0, SiteScope::Global),
+            ],
+            vec![Asn(7), Asn(9)],
+        )
+        .with_origin(Asn(99), vec![Asn(12)]);
+        let (sub, original) = dep.subset(|s| s.scope == SiteScope::Global).unwrap();
+        assert_eq!(original, vec![SiteId(0), SiteId(2)]);
+        assert_eq!(sub.sites.iter().map(|s| s.id).collect::<Vec<_>>(), vec![SiteId(0), SiteId(1)]);
+        assert_eq!((sub.sites[1].host, sub.sites[1].name.as_str()), (Asn(12), "site2"));
+        assert_eq!(sub.name, "letter");
+        assert_eq!(sub.withhold, vec![Asn(7), Asn(9)]);
+        assert_eq!((sub.origin_as, sub.direct_hosts.clone()), (Some(Asn(99)), vec![Asn(12)]));
+        assert!(dep.subset(|_| false).is_none());
     }
 
     #[test]
